@@ -19,15 +19,21 @@
 //! and [`ParameterSpace::paper_space_audited`] keeps the per-code
 //! rejection histogram that tuning reports surface.
 
-use gpu_sim::{DeviceSpec, GridDims};
+use gpu_sim::{fnv1a_word, DeviceSpec, GridDims, FNV_OFFSET_BASIS};
 use inplane_core::plan::lower_step;
 use inplane_core::{KernelSpec, LaunchConfig};
 use stencil_lint::{analyze_plan, explain_feasibility, Severity};
 
 /// An enumerated, constraint-filtered set of launch configurations.
+///
+/// The configurations are fixed at construction, so the space hashes
+/// them once there: [`Self::fingerprint`] is a field read, which is
+/// what lets the serving layer key a request without re-hashing its
+/// whole search space.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParameterSpace {
     configs: Vec<LaunchConfig>,
+    fingerprint: u64,
 }
 
 /// What the enumeration rejected and why: a per-code histogram from the
@@ -45,6 +51,22 @@ pub struct SpaceAudit {
 }
 
 impl ParameterSpace {
+    /// The one constructor: every public one funnels through here, so
+    /// the fingerprint always covers exactly `configs`.
+    fn new(configs: Vec<LaunchConfig>) -> Self {
+        let mut h = FNV_OFFSET_BASIS;
+        fnv1a_word(&mut h, configs.len() as u64);
+        for c in &configs {
+            for w in [c.tx as u64, c.ty as u64, c.rx as u64, c.ry as u64] {
+                fnv1a_word(&mut h, w);
+            }
+        }
+        ParameterSpace {
+            configs,
+            fingerprint: h,
+        }
+    }
+
     /// The paper's search space for `kernel` on `device` over `dims`:
     /// `TX ∈ {16, 32, 48, ..., 512}`, `TY ∈ {1..=32}`,
     /// `RX, RY ∈ {1, 2, 4, 8}`, filtered by the constraints above.
@@ -94,7 +116,7 @@ impl ParameterSpace {
             .into_iter()
             .map(|(code, n)| (code.to_string(), n))
             .collect();
-        (ParameterSpace { configs }, audit)
+        (Self::new(configs), audit)
     }
 
     /// Check the constraints for one configuration.
@@ -115,7 +137,7 @@ impl ParameterSpace {
 
     /// Wrap an explicit list (used by tests and reduced sweeps).
     pub fn from_configs(configs: Vec<LaunchConfig>) -> Self {
-        ParameterSpace { configs }
+        Self::new(configs)
     }
 
     /// A reduced space for quick runs: powers-of-two TX/TY only.
@@ -126,12 +148,20 @@ impl ParameterSpace {
             .into_iter()
             .filter(|c| c.tx.is_power_of_two() && c.ty.is_power_of_two())
             .collect();
-        ParameterSpace { configs }
+        Self::new(configs)
     }
 
     /// The configurations, in enumeration order.
     pub fn configs(&self) -> &[LaunchConfig] {
         &self.configs
+    }
+
+    /// Order-sensitive FNV-1a fingerprint of the configurations: the
+    /// count, then each `(TX, TY, RX, RY)` as four little-endian words.
+    /// Computed once at construction; `TuneKey`s embed it, so the fold
+    /// must never change.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Run the whole-plan dataflow proof over up to `limit` accepted

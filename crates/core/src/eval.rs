@@ -32,7 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use gpu_sim::plan::{BlockPlan, GridDims};
-use gpu_sim::{apply_noise, simulate_clean, DeviceSpec, NoiseKey, SimOptions, SimReport};
+use gpu_sim::{
+    apply_noise, fnv1a_bytes, fnv1a_word, simulate_clean, DeviceSpec, NoiseKey, SimOptions,
+    SimReport, FNV_OFFSET_BASIS,
+};
 use rayon::prelude::*;
 
 use crate::config::LaunchConfig;
@@ -48,26 +51,16 @@ pub const MEASUREMENT_NOISE_AMPLITUDE: f64 = 0.02;
 /// parallelism of the tuning sweeps.
 const N_SHARDS: usize = 16;
 
-fn fold_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-fn fold_word(h: &mut u64, w: u64) {
-    fold_bytes(h, &w.to_le_bytes());
-}
-
 /// Hashable identity of one lowering: everything [`build_block_plan`]
 /// reads, plus a `salt` that namespaces externally-built plans (the
 /// temporal study salts with its time-block depth so a time-blocked
 /// plan never aliases the plain spatial plan of the same launch).
 ///
 /// The 64-bit [`stable_hash`](PlanKey::stable_hash) is computed once at
-/// construction with an explicit FNV-style fold over the fields — not
-/// `std`'s hasher — so it is identical across processes and Rust
-/// versions; the measurement-noise stream derives from it.
+/// construction with the workspace's FNV-1a fold ([`gpu_sim::fnv`])
+/// over the fields — not `std`'s hasher — so it is identical across
+/// processes and Rust versions; the measurement-noise stream derives
+/// from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlanKey {
     /// [`DeviceSpec::fingerprint`] of the target device.
@@ -105,9 +98,9 @@ impl PlanKey {
         salt: u64,
     ) -> Self {
         let device_id = device.fingerprint();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fold_word(&mut h, device_id);
-        fold_bytes(&mut h, kernel.name.as_bytes());
+        let mut h = FNV_OFFSET_BASIS;
+        fnv1a_word(&mut h, device_id);
+        fnv1a_bytes(&mut h, kernel.name.as_bytes());
         for w in [
             // The registry's stable routine id (ids 0–4 reproduce the
             // pre-registry method codes, so cached hashes are stable).
@@ -127,7 +120,7 @@ impl PlanKey {
             dims.lz as u64,
             salt,
         ] {
-            fold_word(&mut h, w);
+            fnv1a_word(&mut h, w);
         }
         PlanKey {
             device_id,

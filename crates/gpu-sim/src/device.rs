@@ -14,6 +14,8 @@
 //! coalescing segment, LDS bank shape, allocation granularities — is a
 //! field here, never a literal in a consumer crate.
 
+use crate::fnv::{fnv1a_bytes, fnv1a_word, FNV_OFFSET_BASIS};
+
 /// Coalescing/padding segment of the paper's original NVIDIA targets,
 /// bytes. The pre-parameterization stack hard-coded this value; devices
 /// whose [`DeviceSpec::coalesce_segment_bytes`] equals it are elided
@@ -407,14 +409,8 @@ impl DeviceSpec {
     /// so every persisted tune-store optimum stays warm. The
     /// `legacy_device_fingerprints_are_pinned` test holds this line.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold_bytes = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        fold_bytes(self.name.as_bytes());
+        let mut h = FNV_OFFSET_BASIS;
+        fnv1a_bytes(&mut h, self.name.as_bytes());
         let words = [
             self.arch.fingerprint_code(),
             self.sm_count as u64,
@@ -440,18 +436,18 @@ impl DeviceSpec {
             self.l1_dup_charge.to_bits(),
         ];
         for w in words {
-            fold_bytes(&w.to_le_bytes());
+            fnv1a_word(&mut h, w);
         }
         // Legacy-default elision: geometry fields the original stack
         // hard-coded contribute only when a device deviates, tagged so
         // distinct deviating fields can never alias each other.
         if self.coalesce_segment_bytes != LEGACY_COALESCE_SEGMENT_BYTES {
-            fold_bytes(&1u64.to_le_bytes());
-            fold_bytes(&self.coalesce_segment_bytes.to_le_bytes());
+            fnv1a_word(&mut h, 1);
+            fnv1a_word(&mut h, self.coalesce_segment_bytes);
         }
         if self.smem_bank_bytes != LEGACY_SMEM_BANK_BYTES {
-            fold_bytes(&2u64.to_le_bytes());
-            fold_bytes(&(self.smem_bank_bytes as u64).to_le_bytes());
+            fnv1a_word(&mut h, 2);
+            fnv1a_word(&mut h, self.smem_bank_bytes as u64);
         }
         h
     }

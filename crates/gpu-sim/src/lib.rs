@@ -32,6 +32,7 @@
 
 pub mod counters;
 pub mod device;
+pub mod fnv;
 pub mod mem;
 pub mod microbench;
 pub mod microsim;
@@ -44,6 +45,7 @@ pub mod timing;
 
 pub use counters::{LimitingFactor, SimReport};
 pub use device::{Architecture, DeviceSpec, LEGACY_COALESCE_SEGMENT_BYTES, LEGACY_SMEM_BANK_BYTES};
+pub use fnv::{fnv1a, fnv1a_bytes, fnv1a_word, FNV_OFFSET_BASIS};
 pub use mem::{coalesce_transactions, MemCounters, WarpLoad};
 pub use microbench::measure_achieved_bandwidth;
 pub use microsim::{simulate_block_plane, MicrosimResult};

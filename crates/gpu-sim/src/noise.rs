@@ -8,6 +8,8 @@
 //! identifying string and a seed — the same configuration always
 //! "measures" the same, but neighbouring configurations de-correlate.
 
+use crate::fnv::{fnv1a_word, FNV_OFFSET_BASIS};
+
 /// Multiplicative noise factor in `[1 - amplitude, 1 + amplitude]`,
 /// deterministic in `(key, seed)`.
 pub fn measurement_noise(key: &str, seed: u64, amplitude: f64) -> f64 {
@@ -37,12 +39,9 @@ pub struct NoiseKey(pub u64);
 impl NoiseKey {
     /// Fold a sequence of words into a key (FNV-style, order-sensitive).
     pub fn from_words(words: &[u64]) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = FNV_OFFSET_BASIS;
         for &w in words {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
+            fnv1a_word(&mut h, w);
             h ^= h >> 29;
         }
         NoiseKey(h)

@@ -27,7 +27,8 @@ use inplane_core::{EvalContext, RoutineDiag};
 use rayon::prelude::*;
 use stencil_autotune::{Provenance, RoutineChoice, RoutineSelector};
 use stencil_tunestore::{
-    ResolveTrace, ServiceStats, StoreStats, TuneRequest, TuneResponse, TuneService, TuneStore,
+    ResolveTrace, ServiceStats, StoreStats, TuneKey, TuneRequest, TuneResponse, TuneService,
+    TuneStore,
 };
 
 use crate::admission::{predicted_search_micros, AdmissionStats, ComputePool, ShedReason};
@@ -225,8 +226,9 @@ impl TuneServer {
     }
 
     /// The oracle-predicted search cost for `req`, cached per key.
-    pub fn predicted_micros(&self, req: &TuneRequest) -> u64 {
-        let hash = req.key().stable_hash();
+    /// `hash` must be `req.key().stable_hash()` — the hash the caller
+    /// already resolved the request's cheaper tiers with.
+    pub fn predicted_micros(&self, req: &TuneRequest, hash: u64) -> u64 {
         if let Some(&p) = self.prices.lock_recovered().get(&hash) {
             return p;
         }
@@ -245,7 +247,13 @@ impl TuneServer {
     /// path passes the batch's start so queueing time counts against
     /// each request's deadline.
     pub fn resolve_at(&self, arrived: Instant, sreq: &ServeRequest) -> ServeOutcome {
-        let hash = sreq.req.key().stable_hash();
+        self.resolve_keyed(arrived, sreq, &sreq.req.key())
+    }
+
+    /// The tiered path proper. The request is keyed once, by the
+    /// caller, and every tier below probes with that key or its hash.
+    fn resolve_keyed(&self, arrived: Instant, sreq: &ServeRequest, key: &TuneKey) -> ServeOutcome {
+        let hash = key.stable_hash();
 
         // Tier 1: hot-key LRU.
         if let Some(response) = self.lru.get(hash) {
@@ -255,7 +263,7 @@ impl TuneServer {
             });
         }
         // Tier 2: the sharded store.
-        if let Some(response) = self.service.try_resolve_cached(&sreq.req) {
+        if let Some(response) = self.service.try_resolve_cached(key) {
             self.lru.put(hash, response.clone());
             return ServeOutcome::Served(Served {
                 response,
@@ -282,7 +290,7 @@ impl TuneServer {
                     budget_micros: budget,
                 });
             }
-            let predicted = self.predicted_micros(&sreq.req);
+            let predicted = self.predicted_micros(&sreq.req, hash);
             if predicted > budget {
                 self.pool.record_over_budget();
                 return ServeOutcome::Shed(ShedReason::OverBudget {
@@ -300,7 +308,7 @@ impl TuneServer {
         // sharer; a racing leader that already *persisted* downgrades
         // us to a store hit. Either way the permit is held only
         // briefly.
-        let (response, trace) = self.service.resolve_traced(&sreq.req);
+        let (response, trace) = self.service.resolve_traced(&sreq.req, key);
         drop(permit);
         self.lru.put(hash, response.clone());
         let tier = match trace {
@@ -324,14 +332,14 @@ impl TuneServer {
     /// silently.
     pub fn resolve_batch(&self, batch: &[ServeRequest]) -> Vec<ServeOutcome> {
         let arrived = Instant::now();
-        let hashes: Vec<u64> = batch.iter().map(|s| s.req.key().stable_hash()).collect();
+        let keys: Vec<TuneKey> = batch.iter().map(|s| s.req.key()).collect();
         let mut first_slot: HashMap<u64, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new();
-        let canonical: Vec<usize> = hashes
+        let canonical: Vec<usize> = keys
             .iter()
             .enumerate()
-            .map(|(i, h)| {
-                *first_slot.entry(*h).or_insert_with(|| {
+            .map(|(i, k)| {
+                *first_slot.entry(k.stable_hash()).or_insert_with(|| {
                     unique.push(i);
                     i
                 })
@@ -339,7 +347,7 @@ impl TuneServer {
             .collect();
         let resolved: Vec<(usize, ServeOutcome)> = unique
             .par_iter()
-            .map(|&i| (i, self.resolve_at(arrived, &batch[i])))
+            .map(|&i| (i, self.resolve_keyed(arrived, &batch[i], &keys[i])))
             .collect();
         let by_slot: HashMap<usize, ServeOutcome> = resolved.into_iter().collect();
         canonical

@@ -194,7 +194,7 @@ fn budgets_triage_fresh_searches_only() {
     // The oracle prices this search in the milliseconds: a budget one
     // microsecond short of the prediction triages it deterministically
     // (elapsed time at admission is far below the budget).
-    let predicted = server.predicted_micros(&req);
+    let predicted = server.predicted_micros(&req, req.key().stable_hash());
     assert!(predicted > 1000, "search priced at {predicted}us");
     let triaged = server.resolve(&ServeRequest::with_budget(req.clone(), predicted - 1));
     match triaged {

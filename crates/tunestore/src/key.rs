@@ -8,14 +8,14 @@
 //! parameter space. Two runs with equal keys are bit-identical, so a
 //! persisted best configuration can be served verbatim.
 //!
-//! The hash uses the same explicit FNV-style fold as
+//! The hash uses the same explicit FNV-1a fold ([`gpu_sim::fnv`]) as
 //! [`inplane_core::PlanKey`] — not `std`'s hasher — so it is identical
 //! across processes and Rust versions, and it folds in
 //! [`SCHEMA_VERSION`] so any change to the key layout silently
 //! invalidates every stale persisted record (the stored hash no longer
 //! matches the recomputed one).
 
-use gpu_sim::{DeviceSpec, GridDims};
+use gpu_sim::{fnv1a, fnv1a_bytes, fnv1a_word, DeviceSpec, GridDims, FNV_OFFSET_BASIS};
 use inplane_core::{KernelSpec, LaunchConfig, Method};
 use stencil_autotune::{AnnealOptions, ParameterSpace};
 
@@ -23,24 +23,6 @@ use stencil_autotune::{AnnealOptions, ParameterSpace};
 /// field is added, removed, or re-ordered: records persisted under any
 /// other version are evicted at load.
 pub const SCHEMA_VERSION: u64 = 1;
-
-pub(crate) fn fold_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-pub(crate) fn fold_word(h: &mut u64, w: u64) {
-    fold_bytes(h, &w.to_le_bytes());
-}
-
-/// FNV-1a over a byte string, seeded with the standard offset basis.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fold_bytes(&mut h, bytes);
-    h
-}
 
 /// Which search strategy produced (or should produce) a result, with
 /// the parameters that change its answer.
@@ -135,18 +117,6 @@ fn method_code(method: Method) -> u64 {
     method.routine().id()
 }
 
-/// Order-sensitive fingerprint of a search space's configurations.
-pub fn space_fingerprint(space: &ParameterSpace) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fold_word(&mut h, space.len() as u64);
-    for c in space.configs() {
-        for w in [c.tx as u64, c.ty as u64, c.rx as u64, c.ry as u64] {
-            fold_word(&mut h, w);
-        }
-    }
-    h
-}
-
 /// Stable content-hash identity of one tuning problem.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneKey {
@@ -163,7 +133,7 @@ pub struct TuneKey {
     pub tuner: TunerKind,
     /// Measurement-noise seed of the run.
     pub seed: u64,
-    /// Fingerprint of the searched [`ParameterSpace`].
+    /// [`ParameterSpace::fingerprint`] of the searched space.
     pub space_fp: u64,
     hash: u64,
 }
@@ -186,7 +156,7 @@ impl TuneKey {
             dims,
             tuner,
             seed,
-            space_fingerprint(space),
+            space.fingerprint(),
         )
     }
 
@@ -202,10 +172,10 @@ impl TuneKey {
         seed: u64,
         space_fp: u64,
     ) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fold_word(&mut h, SCHEMA_VERSION);
-        fold_word(&mut h, device_fp);
-        fold_bytes(&mut h, kernel.name.as_bytes());
+        let mut h = FNV_OFFSET_BASIS;
+        fnv1a_word(&mut h, SCHEMA_VERSION);
+        fnv1a_word(&mut h, device_fp);
+        fnv1a_bytes(&mut h, kernel.name.as_bytes());
         let params = tuner.params();
         for w in [
             method_code(kernel.method),
@@ -218,14 +188,14 @@ impl TuneKey {
             dims.lx as u64,
             dims.ly as u64,
             dims.lz as u64,
-            fnv64(tuner.label().as_bytes()),
+            fnv1a(tuner.label().as_bytes()),
             params[0],
             params[1],
             params[2],
             seed,
             space_fp,
         ] {
-            fold_word(&mut h, w);
+            fnv1a_word(&mut h, w);
         }
         TuneKey {
             device_name,
@@ -249,8 +219,8 @@ impl TuneKey {
     /// no device/grid/tuner) — what warm-starting matches on: "the same
     /// kernel, tuned anywhere else".
     pub fn kernel_identity(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fold_bytes(&mut h, self.kernel.name.as_bytes());
+        let mut h = FNV_OFFSET_BASIS;
+        fnv1a_bytes(&mut h, self.kernel.name.as_bytes());
         for w in [
             method_code(self.kernel.method),
             self.kernel.radius as u64,
@@ -260,7 +230,7 @@ impl TuneKey {
             self.kernel.coeff_inputs as u64,
             self.kernel.outputs as u64,
         ] {
-            fold_word(&mut h, w);
+            fnv1a_word(&mut h, w);
         }
         h
     }

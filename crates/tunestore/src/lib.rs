@@ -65,7 +65,7 @@ pub mod singleflight;
 pub mod store;
 pub mod util;
 
-pub use key::{method_from_label, space_fingerprint, TuneKey, TunerKind, SCHEMA_VERSION};
+pub use key::{method_from_label, TuneKey, TunerKind, SCHEMA_VERSION};
 pub use record::{RecordError, TuneRecord};
 pub use service::{ResolveTrace, ServiceStats, TuneRequest, TuneResponse, TuneService, TunerSpec};
 pub use singleflight::{Joined, LeaderGuard, SingleFlight};

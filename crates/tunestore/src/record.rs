@@ -13,11 +13,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use gpu_sim::GridDims;
+use gpu_sim::{fnv1a, GridDims};
 use inplane_core::{KernelSpec, LaunchConfig};
 
 use crate::json::{escape, parse_flat_object, Value};
-use crate::key::{fnv64, method_from_label, TuneKey, TunerKind, SCHEMA_VERSION};
+use crate::key::{method_from_label, TuneKey, TunerKind, SCHEMA_VERSION};
 
 /// A tuning result bound to its [`TuneKey`].
 #[derive(Clone, Debug, PartialEq)]
@@ -138,7 +138,7 @@ impl TuneRecord {
         );
         format!(
             "{CRC_PREFIX}{:016x}{REC_INFIX}{payload}}}",
-            fnv64(payload.as_bytes())
+            fnv1a(payload.as_bytes())
         )
     }
 
@@ -163,7 +163,7 @@ impl TuneRecord {
             .ok_or(RecordError::Malformed("truncated line"))?;
 
         // Byte-level integrity before any parsing.
-        if fnv64(payload.as_bytes()) != stored_crc {
+        if fnv1a(payload.as_bytes()) != stored_crc {
             return Err(RecordError::Checksum);
         }
 
@@ -306,7 +306,7 @@ mod tests {
         let old = payload.replacen("{\"v\":1,", "{\"v\":0,", 1);
         let reframed = format!(
             "{CRC_PREFIX}{:016x}{REC_INFIX}{old}}}",
-            fnv64(old.as_bytes())
+            fnv1a(old.as_bytes())
         );
         let err = TuneRecord::from_jsonl(&reframed).unwrap_err();
         assert_eq!(err, RecordError::StaleSchema(0));
@@ -324,7 +324,7 @@ mod tests {
         assert_ne!(edited, payload);
         let reframed = format!(
             "{CRC_PREFIX}{:016x}{REC_INFIX}{edited}}}",
-            fnv64(edited.as_bytes())
+            fnv1a(edited.as_bytes())
         );
         assert_eq!(
             TuneRecord::from_jsonl(&reframed),

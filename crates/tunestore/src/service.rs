@@ -241,12 +241,14 @@ impl TuneService {
     /// single-flight guard so a waiter can never block on a leader that
     /// died validating.
     pub fn resolve(&self, req: &TuneRequest) -> TuneResponse {
-        self.resolve_traced(req).0
+        self.resolve_traced(req, &req.key()).0
     }
 
     /// [`Self::resolve`], also reporting *which path* served the
     /// request (store hit, single-flight leader, or condvar sharer) —
     /// the serving layer attributes latency and compute by the trace.
+    /// `key` must be `req.key()`: callers that already built it to probe
+    /// their own tiers pass it on instead of hashing the request again.
     ///
     /// If a leader panics mid-search, its flight is marked failed and
     /// every waiter retries from the store check — one of them leads
@@ -255,7 +257,7 @@ impl TuneService {
     ///
     /// # Panics
     /// Same contract as [`Self::resolve`].
-    pub fn resolve_traced(&self, req: &TuneRequest) -> (TuneResponse, ResolveTrace) {
+    pub fn resolve_traced(&self, req: &TuneRequest, key: &TuneKey) -> (TuneResponse, ResolveTrace) {
         assert!(
             !req.space.is_empty(),
             "cannot tune over an empty parameter space"
@@ -263,11 +265,11 @@ impl TuneService {
         if let TunerSpec::ModelBased { beta_percent } = req.tuner {
             assert!(beta_percent > 0.0, "beta must be positive");
         }
-        let key = req.key();
+        debug_assert_eq!(key.stable_hash(), req.key().stable_hash());
         let hash = key.stable_hash();
 
         loop {
-            if let Some(resp) = self.lookup_store(&key) {
+            if let Some(resp) = self.try_resolve_cached(key) {
                 return (resp, ResolveTrace::Store);
             }
             // Single-flight: first miss per key leads, the rest wait.
@@ -285,11 +287,11 @@ impl TuneService {
                     // search (the conc-check burst proof finds exactly
                     // this interleaving); publishing the stored record
                     // keeps the key at-most-once-computed.
-                    if let Some(resp) = self.lookup_store(&key) {
+                    if let Some(resp) = self.try_resolve_cached(key) {
                         leadership.publish(resp.clone());
                         return (resp, ResolveTrace::Store);
                     }
-                    let response = self.compute(&key, req);
+                    let response = self.compute(key, req);
                     self.store.put(&TuneRecord {
                         key: key.clone(),
                         best: response.best.config,
@@ -309,13 +311,9 @@ impl TuneService {
     /// The store-hit fast path alone: an exact [`TuneKey`] hit is
     /// repackaged as a response (counted `served_from_store`), a miss
     /// returns `None` *without* entering the single-flight guard. The
-    /// serving layer calls this before deciding whether a request must
-    /// pass admission control.
-    pub fn try_resolve_cached(&self, req: &TuneRequest) -> Option<TuneResponse> {
-        self.lookup_store(&req.key())
-    }
-
-    fn lookup_store(&self, key: &TuneKey) -> Option<TuneResponse> {
+    /// serving layer calls this, with the key it already built, before
+    /// deciding whether a request must pass admission control.
+    pub fn try_resolve_cached(&self, key: &TuneKey) -> Option<TuneResponse> {
         let rec = self.store.get(key)?;
         self.served_from_store.fetch_add(1, Ordering::Relaxed);
         let best = TuneSample {
@@ -350,14 +348,14 @@ impl TuneService {
     /// guard at all.
     pub fn resolve_batch(&self, requests: &[TuneRequest]) -> Vec<TuneResponse> {
         // Map each slot to the first slot carrying the same key.
-        let hashes: Vec<u64> = requests.iter().map(|r| r.key().stable_hash()).collect();
+        let keys: Vec<TuneKey> = requests.iter().map(TuneRequest::key).collect();
         let mut first_slot: HashMap<u64, usize> = HashMap::new();
         let mut unique: Vec<usize> = Vec::new();
-        let canonical: Vec<usize> = hashes
+        let canonical: Vec<usize> = keys
             .iter()
             .enumerate()
-            .map(|(i, h)| {
-                *first_slot.entry(*h).or_insert_with(|| {
+            .map(|(i, k)| {
+                *first_slot.entry(k.stable_hash()).or_insert_with(|| {
                     unique.push(i);
                     i
                 })
@@ -365,7 +363,7 @@ impl TuneService {
             .collect();
         let resolved: Vec<(usize, TuneResponse)> = unique
             .par_iter()
-            .map(|&i| (i, self.resolve(&requests[i])))
+            .map(|&i| (i, self.resolve_traced(&requests[i], &keys[i]).0))
             .collect();
         let by_slot: HashMap<usize, TuneResponse> = resolved.into_iter().collect();
         canonical

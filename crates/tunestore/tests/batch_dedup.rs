@@ -83,20 +83,21 @@ fn second_batch_is_served_from_the_store() {
 fn traced_primitives_report_their_path() {
     let svc = service();
     let req = request(4, 9);
-    let hash = req.key().stable_hash();
+    let key = req.key();
+    let hash = key.stable_hash();
 
     // Nothing cached, nothing in flight: the cheap probes decline.
-    assert!(svc.try_resolve_cached(&req).is_none());
+    assert!(svc.try_resolve_cached(&key).is_none());
     assert!(svc.wait_if_inflight(hash).is_none());
     assert_eq!(svc.stats().computed, 0, "probes started no search");
 
-    let (led, trace) = svc.resolve_traced(&req);
+    let (led, trace) = svc.resolve_traced(&req, &key);
     assert_eq!(trace, ResolveTrace::Led);
 
     // Now the store answers — both through the probe and the resolve.
-    let cached = svc.try_resolve_cached(&req).expect("store is warm");
+    let cached = svc.try_resolve_cached(&key).expect("store is warm");
     assert_eq!(cached.best, led.best);
-    let (again, trace) = svc.resolve_traced(&req);
+    let (again, trace) = svc.resolve_traced(&req, &key);
     assert_eq!(trace, ResolveTrace::Store);
     assert_eq!(again.best, led.best);
     assert_eq!(svc.stats().computed, 1);

@@ -95,13 +95,14 @@ fn panicking_leader_cleans_up_and_later_resolves_succeed() {
 
     // The same key resolves fine afterwards (store put now succeeds),
     // as do unrelated keys: nothing got poisoned.
-    let (resp, trace) = svc.resolve_traced(&req);
+    let (resp, trace) = svc.resolve_traced(&req, &req.key());
     assert_eq!(trace, ResolveTrace::Led);
     assert_eq!(svc.inflight_len(), 0);
-    let (again, trace2) = svc.resolve_traced(&req);
+    let (again, trace2) = svc.resolve_traced(&req, &req.key());
     assert_eq!(trace2, ResolveTrace::Store);
     assert_eq!(resp.best.config, again.best.config);
-    let (_, trace3) = svc.resolve_traced(&request(2));
+    let other = request(2);
+    let (_, trace3) = svc.resolve_traced(&other, &other.key());
     assert_eq!(trace3, ResolveTrace::Led);
 }
 

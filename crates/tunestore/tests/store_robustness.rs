@@ -154,15 +154,8 @@ fn schema_version_mismatch_evicts_the_record() {
     let payload_start = text.find(",\"rec\":").unwrap() + ",\"rec\":".len();
     let payload = text[payload_start..].trim_end().strip_suffix('}').unwrap();
     let old_payload = payload.replacen("{\"v\":1,", "{\"v\":0,", 1);
-    let crc = {
-        // FNV-1a, same fold as the store's.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in old_payload.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    };
+    // FNV-1a, the store's checksum.
+    let crc = gpu_sim::fnv1a(old_payload.as_bytes());
     std::fs::write(
         &path,
         format!("{{\"crc\":\"{crc:016x}\",\"rec\":{old_payload}}}\n"),
