@@ -34,7 +34,7 @@ pub use model_based::{
     model_based_tune, model_based_tune_seeded_with, model_based_tune_selected,
     model_based_tune_with, ModelBasedOutcome,
 };
-pub use report::{summarize, summarize_with, KernelVerifySummary, StoreCounters, TuneReport};
+pub use report::{summarize, summarize_with, StoreCounters, TuneReport};
 pub use selector::{RoutineChoice, RoutineRank, RoutineSelector, RoutineStrategy};
 pub use space::{ParameterSpace, SpaceAudit};
 pub use stochastic::{

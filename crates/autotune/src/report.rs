@@ -24,47 +24,6 @@ pub struct StoreCounters {
     pub corrupt: u64,
 }
 
-/// Outcome of proving the winning configuration's emitted kernel
-/// source with the `stencil-lint` kernel verifier, as surfaced in a
-/// [`TuneReport`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KernelVerifySummary {
-    /// Backends proven: 1 for CUDA alone, 2 when the routine also has
-    /// an OpenCL emitter.
-    pub backends: u32,
-    /// Error-severity `LNT-K…` findings across all proven backends —
-    /// zero on a healthy emitter.
-    pub errors: u64,
-}
-
-impl KernelVerifySummary {
-    /// Run the kernel verifier on `config`'s emitted source for every
-    /// supported backend, over the minimal one-block grid the sweep
-    /// contract uses (`2R + WX × 2R + WY × 2R + 2`).
-    pub fn for_config(kernel: &KernelSpec, config: &inplane_core::LaunchConfig) -> Self {
-        let r = kernel.radius;
-        let dims = (2 * r + config.tile_x(), 2 * r + config.tile_y(), 2 * r + 2);
-        let mut diags = stencil_lint::verify_cuda_kernel(kernel, config, dims);
-        let mut backends = 1;
-        if kernel.method.routine().opencl_supported() {
-            diags.extend(stencil_lint::verify_opencl_kernel(kernel, config, dims));
-            backends = 2;
-        }
-        KernelVerifySummary {
-            backends,
-            errors: diags
-                .iter()
-                .filter(|d| d.severity == stencil_lint::Severity::Error)
-                .count() as u64,
-        }
-    }
-
-    /// True when no backend produced an error-severity finding.
-    pub fn clean(&self) -> bool {
-        self.errors == 0
-    }
-}
-
 /// Distribution summary of a tuning run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneReport {
@@ -96,18 +55,11 @@ pub struct TuneReport {
     /// configuration through the plan interpreter (`None` when the
     /// winner was not replayed).
     pub exec: Option<ExecStats>,
-    /// Per-code `LNT-D…` histogram from a bounded whole-plan dataflow
-    /// audit of the space (`None` when no audit ran) — what
-    /// [`crate::space::ParameterSpace::dataflow_audit`] collected.
-    pub dataflow: Option<Vec<(String, u64)>>,
     /// Counters the static traffic oracle predicted for the winning
     /// configuration's plan (`None` when no prediction was attached).
     /// When [`Self::exec`] is also present the two must agree exactly;
     /// rendering surfaces any drift.
     pub predicted: Option<ExecStats>,
-    /// Kernel-verifier verdict on the winning configuration's emitted
-    /// source (`None` when the verifier was not run).
-    pub kernel_verify: Option<KernelVerifySummary>,
 }
 
 /// Nearest-rank quantile over an ascending-sorted non-empty slice.
@@ -161,9 +113,7 @@ pub fn summarize(
         store: None,
         rejections: None,
         exec: None,
-        dataflow: None,
         predicted: None,
-        kernel_verify: None,
     }
 }
 
@@ -202,24 +152,10 @@ impl TuneReport {
         self
     }
 
-    /// Attach a bounded dataflow audit's `LNT-D…` histogram (builder
-    /// style).
-    pub fn with_dataflow(mut self, histogram: Vec<(String, u64)>) -> Self {
-        self.dataflow = Some(histogram);
-        self
-    }
-
     /// Attach the static traffic oracle's predicted counters for the
     /// winning configuration's plan (builder style).
     pub fn with_traffic(mut self, predicted: ExecStats) -> Self {
         self.predicted = Some(predicted);
-        self
-    }
-
-    /// Attach a kernel-verifier verdict for the winning configuration
-    /// (builder style) — typically [`KernelVerifySummary::for_config`].
-    pub fn with_kernel_verify(mut self, verify: KernelVerifySummary) -> Self {
-        self.kernel_verify = Some(verify);
         self
     }
 
@@ -270,13 +206,6 @@ impl TuneReport {
                 out.push_str(&format!("\n  {code}  x{n}"));
             }
         }
-        if let Some(df) = &self.dataflow {
-            let total: u64 = df.iter().map(|(_, n)| n).sum();
-            out.push_str(&format!("\ndataflow audit ({total} findings):"));
-            for (code, n) in df {
-                out.push_str(&format!("\n  {code}  x{n}"));
-            }
-        }
         if let Some(p) = self.predicted {
             out.push_str(&format!(
                 "\ntraffic oracle: {} cells staged, {} writes, {} rotations predicted",
@@ -287,17 +216,6 @@ impl TuneReport {
                 Some(false) => out.push_str(" — DISAGREES with the replay"),
                 None => {}
             }
-        }
-        if let Some(v) = self.kernel_verify {
-            out.push_str(&format!(
-                "\nkernel verify: {} backend(s) proven, {}",
-                v.backends,
-                if v.clean() {
-                    "clean".to_string()
-                } else {
-                    format!("{} LNT-K error(s)", v.errors)
-                },
-            ));
         }
         if let Some(e) = self.exec {
             out.push_str(&format!(
@@ -351,13 +269,6 @@ impl TuneReport {
                 .collect();
             s.push_str(&format!(",\"rejections\":{{{}}}", items.join(",")));
         }
-        if let Some(df) = &self.dataflow {
-            let items: Vec<String> = df
-                .iter()
-                .map(|(code, n)| format!("\"{code}\":{n}"))
-                .collect();
-            s.push_str(&format!(",\"dataflow\":{{{}}}", items.join(",")));
-        }
         if let Some(p) = self.predicted {
             s.push_str(&format!(
                 ",\"predicted\":{{\"cells_staged\":{},\"global_writes\":{},\
@@ -371,14 +282,6 @@ impl TuneReport {
             if let Some(matches) = self.oracle_match() {
                 s.push_str(&format!(",\"oracle_match\":{matches}"));
             }
-        }
-        if let Some(v) = self.kernel_verify {
-            s.push_str(&format!(
-                ",\"kernel_verify\":{{\"backends\":{},\"errors\":{},\"clean\":{}}}",
-                v.backends,
-                v.errors,
-                v.clean()
-            ));
         }
         if let Some(e) = self.exec {
             let zones: Vec<String> = e.staged_cells_by_zone.iter().map(u64::to_string).collect();
@@ -534,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_and_oracle_surface_in_render_and_json() {
+    fn oracle_surfaces_in_render_and_json() {
         let (dev, k, dims, out) = run();
         let plan = inplane_core::lower_step(
             Method::InPlane(Variant::FullSlice),
@@ -550,21 +453,17 @@ mod tests {
             let mut o = Grid3::new(12, 12, 10);
             inplane_core::interpret_plan(&plan, &s, &input, &mut o)
         };
-        let hist = vec![("LNT-D103".to_string(), 4u64)];
         let rep = summarize(&dev, &k, dims, &out)
-            .with_dataflow(hist)
             .with_traffic(predicted)
             .with_exec(dynamic);
         assert_eq!(rep.oracle_match(), Some(true));
         let rendered = rep.render();
-        assert!(rendered.contains("dataflow audit"), "{rendered}");
-        assert!(rendered.contains("LNT-D103"), "{rendered}");
         assert!(
             rendered.contains("matches the replay exactly"),
             "{rendered}"
         );
         let json = rep.to_json();
-        for key in ["\"dataflow\":", "\"predicted\":", "\"oracle_match\":true"] {
+        for key in ["\"predicted\":", "\"oracle_match\":true"] {
             assert!(json.contains(key), "{key} missing from {json}");
         }
         // A doctored prediction is called out, not silently accepted.
@@ -583,43 +482,8 @@ mod tests {
         // Without attachments the sections are absent.
         let plain = summarize(&dev, &k, dims, &out);
         assert_eq!(plain.oracle_match(), None);
-        assert!(!plain.render().contains("dataflow audit"));
+        assert!(!plain.render().contains("traffic oracle"));
         assert!(!plain.to_json().contains("\"predicted\""));
-    }
-
-    #[test]
-    fn kernel_verify_surfaces_in_render_and_json() {
-        let (dev, k, dims, out) = run();
-        // The winner's emitted source is proven on both backends (the
-        // full-slice routine has an OpenCL emitter) with zero findings.
-        let v = KernelVerifySummary::for_config(&k, &out.best.config);
-        assert_eq!(v.backends, 2);
-        assert!(v.clean(), "{v:?}");
-        let rep = summarize(&dev, &k, dims, &out).with_kernel_verify(v);
-        let rendered = rep.render();
-        assert!(
-            rendered.contains("kernel verify: 2 backend(s) proven, clean"),
-            "{rendered}"
-        );
-        let json = rep.to_json();
-        assert!(
-            json.contains("\"kernel_verify\":{\"backends\":2,\"errors\":0,\"clean\":true}"),
-            "{json}"
-        );
-        // A dirty verdict is rendered as an error count, and without an
-        // attachment the section is absent.
-        let dirty = summarize(&dev, &k, dims, &out).with_kernel_verify(KernelVerifySummary {
-            backends: 1,
-            errors: 3,
-        });
-        assert!(
-            dirty.render().contains("3 LNT-K error(s)"),
-            "{}",
-            dirty.render()
-        );
-        let plain = summarize(&dev, &k, dims, &out);
-        assert!(!plain.render().contains("kernel verify"));
-        assert!(!plain.to_json().contains("\"kernel_verify\""));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`RoutineStrategy::Auto`] asks every registered routine whether it
 //!   supports the problem, lowers one probe blueprint per survivor, and
 //!   ranks them by the static traffic oracle's predicted global-memory
-//!   bytes ([`stencil_lint::predict_traffic`]) — oracle-first selection:
+//!   bytes ([`stencil_lint::predict_traffic_on`]) — oracle-first selection:
 //!   no candidate is ever executed to be rejected.
 //!
 //! The per-tuner entry points (`exhaustive_tune_selected`,
@@ -23,7 +23,7 @@ use inplane_core::{
     registry, routine_by_id, Blueprint, KernelSpec, LaunchConfig, ProblemSpec, RoutineDiag,
 };
 use stencil_grid::Precision;
-use stencil_lint::predict_traffic;
+use stencil_lint::predict_traffic_on;
 
 /// Which routine a tuning run searches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,10 +65,11 @@ pub struct RoutineSelector {
 
 /// Global-memory bytes the oracle predicts for one lowered blueprint:
 /// coalesced loads plus write-backs plus interconnect/gather traffic.
-fn oracle_global_bytes(bp: &Blueprint, precision: Precision) -> u64 {
+/// Byte figures only, so the device's segment size cannot move them.
+fn oracle_global_bytes(bp: &Blueprint, precision: Precision, device: &DeviceSpec) -> u64 {
     let routine = routine_by_id(bp.routine_id).expect("blueprint names a registered routine");
     let plan = routine.lower(bp);
-    let t = predict_traffic(&plan, precision);
+    let t = predict_traffic_on(&plan, precision, device);
     t.global_load_cells * t.word_bytes + t.store_bytes + t.halo_bytes + t.gather_bytes
 }
 
@@ -122,7 +123,7 @@ impl RoutineSelector {
                 let ranking = vec![RoutineRank {
                     routine_id: routine.id(),
                     label: routine.label(),
-                    global_bytes: oracle_global_bytes(&bp, precision),
+                    global_bytes: oracle_global_bytes(&bp, precision, device),
                 }];
                 Ok(RoutineChoice {
                     blueprint: bp,
@@ -151,7 +152,7 @@ impl RoutineSelector {
                                 RoutineRank {
                                     routine_id: routine.id(),
                                     label: routine.label(),
-                                    global_bytes: oracle_global_bytes(&bp, precision),
+                                    global_bytes: oracle_global_bytes(&bp, precision, device),
                                 },
                                 bp,
                             ));

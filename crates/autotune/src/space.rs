@@ -20,9 +20,8 @@
 //! rejection histogram that tuning reports surface.
 
 use gpu_sim::{fnv1a_word, DeviceSpec, GridDims, FNV_OFFSET_BASIS};
-use inplane_core::plan::lower_step;
 use inplane_core::{KernelSpec, LaunchConfig};
-use stencil_lint::{analyze_plan, explain_feasibility, Severity};
+use stencil_lint::{explain_feasibility, Severity};
 
 /// An enumerated, constraint-filtered set of launch configurations.
 ///
@@ -162,32 +161,6 @@ impl ParameterSpace {
     /// must never change.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// Run the whole-plan dataflow proof over up to `limit` accepted
-    /// configurations and aggregate the per-code `LNT-D…` histogram.
-    ///
-    /// Each configuration is checked on a synthetic grid of a few tiles
-    /// (the pass is rect algebra, so its cost does not depend on the
-    /// real grid), which keeps auditing a 16 384-point paper space
-    /// tractable — callers bound the work explicitly instead of paying
-    /// for every point. An error-severity `D` code in the result means
-    /// the lowering is broken for that configuration shape.
-    pub fn dataflow_audit(&self, kernel: &KernelSpec, limit: usize) -> Vec<(String, u64)> {
-        let r = kernel.radius;
-        let mut histogram: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
-        for c in self.configs.iter().take(limit) {
-            let dims = (2 * r + 2 * c.tile_x(), 2 * r + 2 * c.tile_y(), 4 * r + 2);
-            let plan = lower_step(kernel.method, c, r, dims);
-            for &(code, n) in analyze_plan(&plan).histogram() {
-                *histogram.entry(code).or_insert(0) += n;
-            }
-        }
-        histogram
-            .into_iter()
-            .map(|(code, n)| (code.to_string(), n))
-            .collect()
     }
 
     /// Number of configurations (`M` in §VI).
@@ -366,26 +339,6 @@ mod tests {
         // sub-warp exclusions.
         assert!(audit.rejections.iter().any(|(c, _)| c == "LNT-R002"));
         assert!(audit.rejections.iter().any(|(c, _)| c == "LNT-R101"));
-    }
-
-    #[test]
-    fn dataflow_audit_is_bounded_and_finds_no_errors() {
-        let dev = DeviceSpec::gtx580();
-        let dims = GridDims::paper();
-        let k = kernel(4);
-        let space = ParameterSpace::quick_space(&dev, &k, &dims);
-        let hist = space.dataflow_audit(&k, 8);
-        // Full-slice plans carry the documented dead-arm warning and the
-        // corner-staging note, never an error-severity D code.
-        assert!(hist.iter().any(|(c, _)| c == "LNT-D103"), "{hist:?}");
-        assert!(hist.iter().any(|(c, _)| c == "LNT-D901"), "{hist:?}");
-        assert!(
-            hist.iter()
-                .all(|(c, _)| { stencil_lint::catalog_severity(c) != Some(Severity::Error) }),
-            "{hist:?}"
-        );
-        // The audit caps its work: an empty budget audits nothing.
-        assert!(space.dataflow_audit(&k, 0).is_empty());
     }
 
     #[test]

@@ -5,35 +5,14 @@
 
 use crate::cwriter::CWriter;
 use crate::kernel::kernel_name;
-use gpu_sim::LEGACY_COALESCE_SEGMENT_BYTES;
 use inplane_core::{KernelSpec, LaunchConfig};
 use stencil_grid::Precision;
 
 /// Generate a standalone `main.cu` that allocates a `lx × ly × lz` grid,
 /// runs `steps` Jacobi iterations of the kernel and reports MPoint/s,
-/// with rows padded to the legacy 128-byte coalescing granule.
-pub fn generate_host_harness(
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    lx: usize,
-    ly: usize,
-    lz: usize,
-    steps: usize,
-) -> String {
-    generate_host_harness_for(
-        spec,
-        config,
-        lx,
-        ly,
-        lz,
-        steps,
-        LEGACY_COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`generate_host_harness`] with the row padding granule taken from a
-/// device's `coalesce_segment_bytes` — 64 bytes on GCN-class wave64
-/// parts, where padding to 128 would waste half the fringe segment.
+/// with rows padded to `device`'s `coalesce_segment_bytes` — 128 bytes
+/// on the paper's NVIDIA parts, 64 on GCN-class wave64 parts, where
+/// padding to 128 would waste half the fringe segment.
 pub fn generate_host_harness_on(
     spec: &KernelSpec,
     config: &LaunchConfig,
@@ -43,29 +22,7 @@ pub fn generate_host_harness_on(
     steps: usize,
     device: &gpu_sim::DeviceSpec,
 ) -> String {
-    generate_host_harness_for(
-        spec,
-        config,
-        lx,
-        ly,
-        lz,
-        steps,
-        device.coalesce_segment_bytes,
-    )
-}
-
-/// The generic harness generator, parameterized on the coalescing
-/// segment the allocation pads rows to.
-#[allow(clippy::too_many_arguments)]
-fn generate_host_harness_for(
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    lx: usize,
-    ly: usize,
-    lz: usize,
-    steps: usize,
-    seg: u64,
-) -> String {
+    let seg = device.coalesce_segment_bytes;
     let t = match spec.precision() {
         Precision::Single => "float",
         Precision::Double => "double",
@@ -161,7 +118,15 @@ mod tests {
     fn harness() -> String {
         let spec =
             KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
-        generate_host_harness(&spec, &LaunchConfig::new(32, 4, 1, 4), 512, 512, 256, 100)
+        generate_host_harness_on(
+            &spec,
+            &LaunchConfig::new(32, 4, 1, 4),
+            512,
+            512,
+            256,
+            100,
+            &gpu_sim::DeviceSpec::gtx580(),
+        )
     }
 
     #[test]
@@ -190,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_harness_pads_to_128_bytes() {
+    fn gtx580_harness_pads_to_128_bytes() {
         let s = harness();
         assert!(
             s.contains("#define STRIDE ((((LX + 2 * R) * 4 + 127) / 128) * (128 / 4))"),
@@ -222,7 +187,15 @@ mod tests {
     #[test]
     fn dp_harness_uses_double() {
         let spec = KernelSpec::star_order(Method::ForwardPlane, 2, Precision::Double);
-        let s = generate_host_harness(&spec, &LaunchConfig::new(64, 4, 1, 1), 256, 256, 64, 10);
+        let s = generate_host_harness_on(
+            &spec,
+            &LaunchConfig::new(64, 4, 1, 1),
+            256,
+            256,
+            64,
+            10,
+            &gpu_sim::DeviceSpec::gtx580(),
+        );
         assert!(s.contains("double *d_in"));
         assert!(s.contains("stencil_forward_plane<<<"));
     }

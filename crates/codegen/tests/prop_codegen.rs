@@ -4,7 +4,7 @@
 use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
 use stencil_codegen::cwriter::count_occurrences;
-use stencil_codegen::{generate_host_harness, generate_kernel, generate_opencl_kernel};
+use stencil_codegen::{generate_host_harness_on, generate_kernel, generate_opencl_kernel};
 use stencil_grid::Precision;
 
 fn arb_method() -> impl Strategy<Value = Method> {
@@ -78,7 +78,8 @@ proptest! {
         let config = LaunchConfig::new(32, 4, 1, 2);
         let spec = KernelSpec::star_order(method, 4, Precision::Single);
         let (lx, ly) = (lx_tiles * config.tile_x(), ly_tiles * config.tile_y());
-        let src = generate_host_harness(&spec, &config, lx, ly, 64, steps);
+        let device = gpu_sim::DeviceSpec::gtx580();
+        let src = generate_host_harness_on(&spec, &config, lx, ly, 64, steps, &device);
         prop_assert_eq!(count_occurrences(&src, "{"), count_occurrences(&src, "}"));
         let def_steps = format!("#define STEPS {steps}");
         prop_assert!(src.contains(&def_steps));

@@ -16,13 +16,9 @@
 //!   reference, so verification is bit-exact per precision.
 
 mod buffer;
-mod forward;
-mod inplane;
 mod interp;
 
 pub use buffer::{SharedBuffer, StageError};
-pub use forward::execute_forward_plane;
-pub use inplane::execute_inplane;
 pub use interp::{interpret_plan, interpret_plan_checked};
 
 use crate::config::LaunchConfig;
@@ -152,8 +148,7 @@ pub fn execute_step<T: Real>(
         "grid {nx}x{ny}x{nz} too small for radius {r}"
     );
     // Routine-agnostic: lower through the registry, run the single
-    // interpreter (the per-method executors are shims over the same
-    // path).
+    // interpreter.
     let plan = crate::plan::lower_step(method, config, r, input.dims());
     let stats = interpret_plan(&plan, stencil, input, out);
     boundary.apply(input, out, r);
@@ -189,6 +184,7 @@ pub(crate) fn tiles(
 mod tests {
     use super::*;
     use crate::method::Variant;
+    use crate::plan::Zone;
     use stencil_grid::{apply_reference, apply_reference_inplane_order, max_abs_diff, FillPattern};
 
     fn random_grid<T: Real>(n: usize, seed: u64) -> Grid3<T> {
@@ -338,5 +334,104 @@ mod tests {
         assert_eq!(stats.blocks, 4); // 8×8 interior, 4×4 tiles
         assert_eq!(stats.global_writes, 8 * 8 * 8); // interior points
         assert!(stats.cells_staged > 0);
+    }
+
+    #[test]
+    fn forward_plane_counts_barriers_and_rotations() {
+        let s: StarStencil<f64> = StarStencil::laplacian7();
+        let input: Grid3<f64> = FillPattern::HashNoise.build(6, 6, 6);
+        let mut got = Grid3::new(6, 6, 6);
+        let stats = execute_step(
+            Method::ForwardPlane,
+            &s,
+            &LaunchConfig::new(4, 4, 1, 1),
+            &input,
+            &mut got,
+            Boundary::LeaveOutput,
+        );
+        // One block, four output planes: two barriers each, a rotation
+        // after every plane but the last.
+        assert_eq!(stats.blocks, 1);
+        assert_eq!(stats.barriers, 4 * 2);
+        assert_eq!(stats.pipeline_rotations, 3);
+        assert_eq!(stats.points_computed, 4 * 4 * 4);
+        assert_eq!(stats.redundancy(), 1.0);
+    }
+
+    #[test]
+    fn full_slice_stages_exactly_the_corner_zone_more() {
+        let s: StarStencil<f64> = StarStencil::from_order(4);
+        let input: Grid3<f64> = FillPattern::HashNoise.build(16, 16, 8);
+        let config = LaunchConfig::new(12, 12, 1, 1);
+        let run = |variant| {
+            let mut out = Grid3::new(16, 16, 8);
+            let stats = execute_step(
+                Method::InPlane(variant),
+                &s,
+                &config,
+                &input,
+                &mut out,
+                Boundary::LeaveOutput,
+            );
+            (stats, out)
+        };
+        let (fs, fs_out) = run(Variant::FullSlice);
+        let (hz, _) = run(Variant::Horizontal);
+        let (vt, vt_out) = run(Variant::Vertical);
+        assert!(fs.cells_staged > hz.cells_staged);
+        assert_eq!(hz.cells_staged, vt.cells_staged);
+        // The difference is exactly the corner-zone traffic.
+        assert_eq!(
+            fs.cells_staged - hz.cells_staged,
+            fs.staged_cells_by_zone[Zone::Corner.index()]
+        );
+        assert_eq!(hz.staged_cells_by_zone[Zone::Corner.index()], 0);
+        // All variants compute the same values.
+        assert_eq!(max_abs_diff(&fs_out, &vt_out), 0.0);
+    }
+
+    #[test]
+    fn large_radius_on_tiles_narrower_than_the_halo() {
+        let s: StarStencil<f64> = StarStencil::from_order(10);
+        let input: Grid3<f64> = FillPattern::HashNoise.build(15, 15, 15);
+        let mut golden = Grid3::new(15, 15, 15);
+        apply_reference(&s, &input, &mut golden, Boundary::CopyInput);
+        let mut got = Grid3::new(15, 15, 15);
+        execute_step(
+            Method::ForwardPlane,
+            &s,
+            &LaunchConfig::new(2, 2, 1, 1),
+            &input,
+            &mut got,
+            Boundary::CopyInput,
+        );
+        assert_eq!(max_abs_diff(&got, &golden), 0.0);
+    }
+
+    #[test]
+    fn minimal_depth_computes_one_output_plane() {
+        // nz = 2r + 1: exactly one output plane, so the pipelines fill
+        // and drain in the same sweep.
+        let s: StarStencil<f64> = StarStencil::from_order(4);
+        let input: Grid3<f64> = FillPattern::HashNoise.build(7, 7, 5);
+        for method in [Method::ForwardPlane, Method::InPlane(Variant::FullSlice)] {
+            let mut golden = Grid3::new(7, 7, 5);
+            if method.routine().inplane_reference_order() {
+                apply_reference_inplane_order(&s, &input, &mut golden, Boundary::CopyInput);
+            } else {
+                apply_reference(&s, &input, &mut golden, Boundary::CopyInput);
+            }
+            let mut got = Grid3::new(7, 7, 5);
+            let stats = execute_step(
+                method,
+                &s,
+                &LaunchConfig::new(8, 8, 1, 1),
+                &input,
+                &mut got,
+                Boundary::CopyInput,
+            );
+            assert_eq!(max_abs_diff(&got, &golden), 0.0, "{method}");
+            assert_eq!(stats.global_writes, 3 * 3, "{method}");
+        }
     }
 }

@@ -51,7 +51,7 @@ pub use exec::{
 };
 pub use kernel::KernelSpec;
 pub use method::{Method, Variant};
-pub use plan::{lower_forward, lower_inplane, lower_step, PlanOp, StagePlan};
+pub use plan::{lower_step, PlanOp, StagePlan};
 pub use routine::{
     lower_blueprint, registry, routine_by_id, routine_by_label, Blueprint, ComputeShape,
     LoadPattern, ProblemSpec, Routine, RoutineDiag, ScheduleSkeleton, ZFeed,

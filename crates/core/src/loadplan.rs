@@ -156,53 +156,16 @@ pub fn coeff_region(geom: &TileGeometry, vec_width: usize) -> Region {
     }
 }
 
-/// Build the full per-plane workload of one interior block, assuming
-/// the legacy 32-bank × 4-byte shared-memory geometry. Device-aware
-/// callers should use [`build_plane_plan_on`].
-pub fn build_plane_plan(
-    kernel: &KernelSpec,
-    config: &LaunchConfig,
-    geom: &TileGeometry,
-    warp_size: usize,
-) -> PlanePlan {
-    build_plane_plan_banked(
-        kernel,
-        config,
-        geom,
-        warp_size,
-        gpu_sim::device::LEGACY_SMEM_BANKS,
-        gpu_sim::LEGACY_SMEM_BANK_BYTES,
-    )
-}
-
-/// [`build_plane_plan`] with `device`'s execution width and LDS bank
-/// geometry.
+/// Build the full per-plane workload of one interior block with
+/// `device`'s execution width and LDS bank geometry.
 pub fn build_plane_plan_on(
     kernel: &KernelSpec,
     config: &LaunchConfig,
     geom: &TileGeometry,
     device: &gpu_sim::DeviceSpec,
 ) -> PlanePlan {
-    build_plane_plan_banked(
-        kernel,
-        config,
-        geom,
-        device.warp_size,
-        device.smem_banks,
-        device.smem_bank_bytes,
-    )
-}
-
-/// The generic plane-plan builder, parameterized on the shared-memory
-/// bank count and width.
-fn build_plane_plan_banked(
-    kernel: &KernelSpec,
-    config: &LaunchConfig,
-    geom: &TileGeometry,
-    warp_size: usize,
-    smem_banks: usize,
-    smem_bank_bytes: usize,
-) -> PlanePlan {
+    let (warp_size, smem_banks, smem_bank_bytes) =
+        (device.warp_size, device.smem_banks, device.smem_bank_bytes);
     let v = vector_width(kernel);
     let regions = load_regions(kernel.method, geom, v);
 
@@ -280,37 +243,10 @@ fn build_plane_plan_banked(
     }
 }
 
-/// Convenience: plan plus resources for one interior block on a device
-/// with the given segment size.
-pub fn plan_for_device(
-    kernel: &KernelSpec,
-    config: &LaunchConfig,
-    lx: usize,
-    segment_bytes: u64,
-    warp_size: usize,
-) -> (PlanePlan, gpu_sim::occupancy::BlockResources, TileGeometry) {
-    let mut geom = TileGeometry::interior(
-        config,
-        kernel.radius,
-        kernel.elem_bytes as u64,
-        lx,
-        segment_bytes,
-    );
-    // The stock SDK baseline works on the raw (unpadded) allocation, so
-    // its tiles sit misaligned by the boundary-ring width; the in-plane
-    // implementation pads the grid for alignment (§III-C2).
-    if kernel.method.routine().unaligned_layout() {
-        geom = geom.unaligned_baseline();
-    }
-    let plan = build_plane_plan(kernel, config, &geom, warp_size);
-    let res = block_resources(kernel, config);
-    (plan, res, geom)
-}
-
-/// [`plan_for_device`] driven entirely by a [`gpu_sim::DeviceSpec`]:
-/// segment size, warp/wavefront width and LDS bank geometry all come
-/// from the spec, so wave64 parts plan with 64-wide execution and
-/// their own bank shape.
+/// Convenience: plan plus resources for one interior block, driven
+/// entirely by a [`gpu_sim::DeviceSpec`]: segment size, warp/wavefront
+/// width and LDS bank geometry all come from the spec, so wave64 parts
+/// plan with 64-wide execution and their own bank shape.
 pub fn plan_for_device_on(
     kernel: &KernelSpec,
     config: &LaunchConfig,
@@ -324,6 +260,9 @@ pub fn plan_for_device_on(
         lx,
         device.segment_bytes,
     );
+    // The stock SDK baseline works on the raw (unpadded) allocation, so
+    // its tiles sit misaligned by the boundary-ring width; the in-plane
+    // implementation pads the grid for alignment (§III-C2).
     if kernel.method.routine().unaligned_layout() {
         geom = geom.unaligned_baseline();
     }
@@ -345,6 +284,12 @@ mod tests {
 
     fn spec(method: Method, order: usize) -> KernelSpec {
         KernelSpec::star_order(method, order, Precision::Single)
+    }
+
+    /// The paper's Fermi card: warp 32, 128-byte segments, 32 × 4-byte
+    /// banks.
+    fn gtx580() -> gpu_sim::DeviceSpec {
+        gpu_sim::DeviceSpec::gtx580()
     }
 
     fn counters(loads: &[WarpLoad]) -> MemCounters {
@@ -410,7 +355,7 @@ mod tests {
             Method::InPlane(Variant::FullSlice),
         ] {
             let k = spec(method, 2 * r);
-            let plan = build_plane_plan(&k, &c, &g, 32);
+            let plan = build_plane_plan_on(&k, &c, &g, &gtx580());
             let mut covered: Vec<u64> = plan
                 .loads
                 .iter()
@@ -436,7 +381,7 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let g = geom(&c, 2);
         let k = spec(Method::InPlane(Variant::FullSlice), 4);
-        let plan = build_plane_plan(&k, &c, &g, 32);
+        let plan = build_plane_plan_on(&k, &c, &g, &gtx580());
         let requested: u64 = plan.loads.iter().map(|l| l.requested_bytes()).sum();
         // Slab is 36 × 12; rows extend [30,66) → [28,68) = 40 wide.
         assert_eq!(requested, 40 * 12 * 4);
@@ -447,7 +392,7 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 1, 2);
         let g = geom(&c, 2);
         let k = spec(Method::InPlane(Variant::FullSlice), 4);
-        let plan = build_plane_plan(&k, &c, &g, 32);
+        let plan = build_plane_plan_on(&k, &c, &g, &gtx580());
         let ctr = counters(&plan.stores);
         assert!(
             (ctr.efficiency() - 1.0).abs() < 1e-12,
@@ -463,13 +408,13 @@ mod tests {
         // layout coalesces better than the baseline's unpadded layout.
         for order in [2usize, 4, 8, 12] {
             let c = LaunchConfig::new(32, 8, 1, 1);
-            let (nv, _, _) = plan_for_device(&spec(Method::ForwardPlane, order), &c, 512, 128, 32);
-            let (fs, _, _) = plan_for_device(
+            let (nv, _, _) =
+                plan_for_device_on(&spec(Method::ForwardPlane, order), &c, 512, &gtx580());
+            let (fs, _, _) = plan_for_device_on(
                 &spec(Method::InPlane(Variant::FullSlice), order),
                 &c,
                 512,
-                128,
-                32,
+                &gtx580(),
             );
             let e_nv = counters(&nv.loads).efficiency();
             let e_fs = counters(&fs.loads).efficiency();
@@ -488,13 +433,13 @@ mod tests {
         // the margin — §IV-C's explanation for the decreasing speedup).
         for order in [2usize, 4] {
             let c = LaunchConfig::new(32, 8, 1, 1);
-            let (nv, _, _) = plan_for_device(&spec(Method::ForwardPlane, order), &c, 512, 128, 32);
-            let (fs, _, _) = plan_for_device(
+            let (nv, _, _) =
+                plan_for_device_on(&spec(Method::ForwardPlane, order), &c, 512, &gtx580());
+            let (fs, _, _) = plan_for_device_on(
                 &spec(Method::InPlane(Variant::FullSlice), order),
                 &c,
                 512,
-                128,
-                32,
+                &gtx580(),
             );
             let t_nv = counters(&nv.loads).transferred_bytes;
             let t_fs = counters(&fs.loads).transferred_bytes;
@@ -508,13 +453,12 @@ mod tests {
     #[test]
     fn baseline_layout_is_misaligned_by_radius() {
         let c = LaunchConfig::new(32, 8, 1, 1);
-        let (_, _, g_nv) = plan_for_device(&spec(Method::ForwardPlane, 8), &c, 512, 128, 32);
-        let (_, _, g_fs) = plan_for_device(
+        let (_, _, g_nv) = plan_for_device_on(&spec(Method::ForwardPlane, 8), &c, 512, &gtx580());
+        let (_, _, g_fs) = plan_for_device_on(
             &spec(Method::InPlane(Variant::FullSlice), 8),
             &c,
             512,
-            128,
-            32,
+            &gtx580(),
         );
         assert_eq!(g_nv.x_shift, 4);
         assert_eq!(g_fs.x_shift, 0);
@@ -528,8 +472,13 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let ratio = |order: usize| {
             let g = geom(&c, order / 2);
-            let nv = build_plane_plan(&spec(Method::ForwardPlane, order), &c, &g, 32);
-            let vt = build_plane_plan(&spec(Method::InPlane(Variant::Vertical), order), &c, &g, 32);
+            let nv = build_plane_plan_on(&spec(Method::ForwardPlane, order), &c, &g, &gtx580());
+            let vt = build_plane_plan_on(
+                &spec(Method::InPlane(Variant::Vertical), order),
+                &c,
+                &g,
+                &gtx580(),
+            );
             counters(&vt.loads).transferred_bytes as f64
                 / counters(&nv.loads).transferred_bytes as f64
         };
@@ -545,8 +494,18 @@ mod tests {
     fn horizontal_close_to_full_slice() {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let g = geom(&c, 2);
-        let hz = build_plane_plan(&spec(Method::InPlane(Variant::Horizontal), 4), &c, &g, 32);
-        let fs = build_plane_plan(&spec(Method::InPlane(Variant::FullSlice), 4), &c, &g, 32);
+        let hz = build_plane_plan_on(
+            &spec(Method::InPlane(Variant::Horizontal), 4),
+            &c,
+            &g,
+            &gtx580(),
+        );
+        let fs = build_plane_plan_on(
+            &spec(Method::InPlane(Variant::FullSlice), 4),
+            &c,
+            &g,
+            &gtx580(),
+        );
         let t_hz = counters(&hz.loads).transferred_bytes as f64;
         let t_fs = counters(&fs.loads).transferred_bytes as f64;
         assert!((t_hz / t_fs - 1.0).abs() < 0.25);
@@ -558,8 +517,13 @@ mod tests {
     fn vector_loads_cut_instruction_count() {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let g = geom(&c, 1);
-        let fs = build_plane_plan(&spec(Method::InPlane(Variant::FullSlice), 2), &c, &g, 32);
-        let nv = build_plane_plan(&spec(Method::ForwardPlane, 2), &c, &g, 32);
+        let fs = build_plane_plan_on(
+            &spec(Method::InPlane(Variant::FullSlice), 2),
+            &c,
+            &g,
+            &gtx580(),
+        );
+        let nv = build_plane_plan_on(&spec(Method::ForwardPlane, 2), &c, &g, &gtx580());
         assert!(
             (fs.loads.len() as f64) < nv.loads.len() as f64 / 2.0,
             "full-slice {} instrs vs nvstencil {}",
@@ -573,11 +537,11 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let g = geom(&c, 1);
         let mut k = spec(Method::InPlane(Variant::FullSlice), 2);
-        let base = build_plane_plan(&k, &c, &g, 32);
+        let base = build_plane_plan_on(&k, &c, &g, &gtx580());
         k.streamed_inputs = 3;
         k.coeff_inputs = 2;
         k.outputs = 2;
-        let multi = build_plane_plan(&k, &c, &g, 32);
+        let multi = build_plane_plan_on(&k, &c, &g, &gtx580());
         assert_eq!(multi.stores.len(), 2 * base.stores.len());
         assert!(multi.loads.len() > 3 * base.loads.len());
         let c_multi = counters(&multi.loads);
@@ -591,7 +555,7 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 2, 2);
         let g = geom(&c, 1);
         let k = spec(Method::InPlane(Variant::FullSlice), 2);
-        let plan = build_plane_plan(&k, &c, &g, 32);
+        let plan = build_plane_plan_on(&k, &c, &g, &gtx580());
         // Tile is (32·2) × (8·2) = 64 × 16 points at 9 flops each.
         assert_eq!(plan.flops, (64 * 16) as u64 * 9);
         assert_eq!(plan.ilp, 4.0);
@@ -601,7 +565,7 @@ mod tests {
     fn plan_for_device_bundles_consistently() {
         let c = LaunchConfig::new(64, 4, 1, 2);
         let k = spec(Method::InPlane(Variant::FullSlice), 4);
-        let (plan, res, g) = plan_for_device(&k, &c, 512, 128, 32);
+        let (plan, res, g) = plan_for_device_on(&k, &c, 512, &gtx580());
         assert_eq!(res.threads, 256);
         assert_eq!(g.wx, 64);
         assert!(plan.flops > 0);

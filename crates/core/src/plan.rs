@@ -3,8 +3,8 @@
 //! A [`StagePlan`] is a flat program of [`PlanOp`]s describing the
 //! stage/barrier/compute/write schedule of a kernel run — the same
 //! schedule the CUDA kernels of §III execute, made explicit. The pure
-//! lowering functions [`lower_forward`] / [`lower_inplane`] produce one
-//! from `Method × LaunchConfig × dims`; the instrumented interpreter in
+//! lowering function [`lower_step`] produces one from
+//! `Method × LaunchConfig × dims`; the instrumented interpreter in
 //! [`crate::exec`] runs it (bit-exact against the CPU golden models);
 //! the plan *transforms* in `stencil-temporal` and `stencil-multigpu`
 //! compose base plans into time-skewed and sharded programs; and
@@ -23,7 +23,7 @@
 //!   temporal blocking and multi-GPU sharding are expressed in.
 
 use crate::config::LaunchConfig;
-use crate::method::{Method, Variant};
+use crate::method::Method;
 use stencil_grid::Boundary;
 
 /// Identifier of a grid buffer in the interpreter's buffer table.
@@ -454,29 +454,6 @@ pub fn pipeline_depths(method: Method, r: usize) -> (usize, usize) {
     (sk.z_depth, sk.out_depth)
 }
 
-/// Lower one forward-plane (*nvstencil*) Jacobi step to a [`StagePlan`]
-/// over `INPUT_BUF` → `OUTPUT_BUF`. Pure function of the arguments;
-/// interior only (the caller owns the boundary policy). Compat wrapper
-/// over the forward-plane routine's blueprint lowering.
-pub fn lower_forward(config: &LaunchConfig, r: usize, dims: (usize, usize, usize)) -> StagePlan {
-    let routine = Method::ForwardPlane.routine();
-    routine.lower(&routine.blueprint(config, r, dims))
-}
-
-/// Lower one in-plane Jacobi step (any loading variant) to a
-/// [`StagePlan`] over `INPUT_BUF` → `OUTPUT_BUF`. Pure function of the
-/// arguments; interior only. Compat wrapper over the variant routine's
-/// blueprint lowering.
-pub fn lower_inplane(
-    variant: Variant,
-    config: &LaunchConfig,
-    r: usize,
-    dims: (usize, usize, usize),
-) -> StagePlan {
-    let routine = Method::InPlane(variant).routine();
-    routine.lower(&routine.blueprint(config, r, dims))
-}
-
 /// Lower one Jacobi step of `method` — the dispatcher every execution
 /// path (single-step, temporal, multi-GPU) builds on. Goes through the
 /// routine registry: `method.routine()` resolves the blueprint and
@@ -516,12 +493,18 @@ pub(crate) fn halo_arms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::Variant;
 
     #[test]
     fn forward_plan_census_counts_match_geometry() {
         // 10³ grid, r = 2 → 6×6 interior, 4×4 tiles (clipped) → 4
         // blocks, 6 output planes each.
-        let plan = lower_forward(&LaunchConfig::new(4, 4, 1, 1), 2, (10, 10, 10));
+        let plan = lower_step(
+            Method::ForwardPlane,
+            &LaunchConfig::new(4, 4, 1, 1),
+            2,
+            (10, 10, 10),
+        );
         let c = plan.census();
         assert_eq!(c.blocks, 4);
         assert_eq!(c.barriers, 4 * 6 * StagePlan::BARRIERS_PER_PLANE as u64);
@@ -541,8 +524,8 @@ mod tests {
     fn fullslice_stages_corners_the_other_variants_skip() {
         let dims = (12, 12, 8);
         let cfg = LaunchConfig::new(4, 4, 1, 1);
-        let fs = lower_inplane(Variant::FullSlice, &cfg, 2, dims).census();
-        let hz = lower_inplane(Variant::Horizontal, &cfg, 2, dims).census();
+        let fs = lower_step(Method::InPlane(Variant::FullSlice), &cfg, 2, dims).census();
+        let hz = lower_step(Method::InPlane(Variant::Horizontal), &cfg, 2, dims).census();
         assert!(fs.staged_area_by_zone[Zone::Corner.index()] > 0);
         assert_eq!(hz.staged_area_by_zone[Zone::Corner.index()], 0);
         // Identical everywhere else.
@@ -563,8 +546,8 @@ mod tests {
 
     #[test]
     fn inplane_schedule_has_two_barriers_per_staged_plane() {
-        let plan = lower_inplane(
-            Variant::Vertical,
+        let plan = lower_step(
+            Method::InPlane(Variant::Vertical),
             &LaunchConfig::new(8, 8, 1, 1),
             1,
             (10, 10, 9),
@@ -609,7 +592,12 @@ mod tests {
 
     #[test]
     fn buffer_dims_lists_caller_grids_then_allocs() {
-        let mut plan = lower_forward(&LaunchConfig::new(4, 4, 1, 1), 1, (6, 6, 6));
+        let mut plan = lower_step(
+            Method::ForwardPlane,
+            &LaunchConfig::new(4, 4, 1, 1),
+            1,
+            (6, 6, 6),
+        );
         assert_eq!(plan.buffer_dims(), vec![(6, 6, 6), (6, 6, 6)]);
         plan.ops.insert(
             0,
@@ -624,7 +612,12 @@ mod tests {
 
     #[test]
     fn retarget_rewrites_every_buffer_reference() {
-        let mut plan = lower_forward(&LaunchConfig::new(4, 4, 1, 1), 1, (6, 6, 6));
+        let mut plan = lower_step(
+            Method::ForwardPlane,
+            &LaunchConfig::new(4, 4, 1, 1),
+            1,
+            (6, 6, 6),
+        );
         plan.retarget_buffers(|b| b + 10);
         for op in &plan.ops {
             if let PlanOp::BeginBlock { input, output, .. } = op {

@@ -4,7 +4,7 @@
 //! plan covers exactly the stencil footprint.
 
 use inplane_core::layout::TileGeometry;
-use inplane_core::loadplan::build_plane_plan;
+use inplane_core::loadplan::build_plane_plan_on;
 use inplane_core::{execute_step, KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
 use stencil_grid::{
@@ -69,7 +69,7 @@ proptest! {
         let config = LaunchConfig::new(tx_halfwarps * 16, ty, rx, ry);
         let spec = KernelSpec::star_order(method, 2 * radius, Precision::Single);
         let geom = TileGeometry::interior(&config, radius, 4, 2048, 128);
-        let plan = build_plane_plan(&spec, &config, &geom, 32);
+        let plan = build_plane_plan_on(&spec, &config, &geom, &gpu_sim::DeviceSpec::gtx580());
 
         let mut covered: std::collections::HashSet<u64> = std::collections::HashSet::new();
         for l in &plan.loads {

@@ -86,8 +86,8 @@ fn parse_defines(source: &str) -> HashMap<String, String> {
 }
 
 /// Evaluate an integer macro expression (`+ - * /`, parentheses,
-/// identifiers resolved through `defines`). `None` on malformed input or
-/// unresolvable identifiers.
+/// identifiers resolved through `defines`). `None` on malformed input,
+/// unresolvable identifiers, division by zero or `i64` overflow.
 fn eval_expr(expr: &str, defines: &HashMap<String, String>, depth: usize) -> Option<i64> {
     if depth > 16 {
         return None; // recursive macro
@@ -154,7 +154,11 @@ fn parse_sum<'t>(
     let (mut acc, mut rest) = parse_product(toks, defines, depth)?;
     while let Some(Tok::Op(op @ ('+' | '-'))) = rest.first() {
         let (rhs, next) = parse_product(&rest[1..], defines, depth)?;
-        acc = if *op == '+' { acc + rhs } else { acc - rhs };
+        acc = if *op == '+' {
+            acc.checked_add(rhs)?
+        } else {
+            acc.checked_sub(rhs)?
+        };
         rest = next;
     }
     Some((acc, rest))
@@ -168,13 +172,11 @@ fn parse_product<'t>(
     let (mut acc, mut rest) = parse_atom(toks, defines, depth)?;
     while let Some(Tok::Op(op @ ('*' | '/'))) = rest.first() {
         let (rhs, next) = parse_atom(&rest[1..], defines, depth)?;
-        if *op == '*' {
-            acc *= rhs;
-        } else if rhs != 0 {
-            acc /= rhs;
+        acc = if *op == '*' {
+            acc.checked_mul(rhs)?
         } else {
-            return None;
-        }
+            acc.checked_div(rhs)?
+        };
         rest = next;
     }
     Some((acc, rest))
@@ -200,7 +202,7 @@ fn parse_atom<'t>(
         }
         Tok::Op('-') => {
             let (v, rest) = parse_atom(&toks[1..], defines, depth)?;
-            Some((-v, rest))
+            Some((v.checked_neg()?, rest))
         }
         _ => None,
     }
@@ -418,6 +420,25 @@ mod tests {
         assert_eq!(eval_expr("1 +", &defs, 0), None);
         defs.insert("LOOP".to_string(), "LOOP + 1".to_string());
         assert_eq!(eval_expr("LOOP", &defs, 0), None, "recursive macro");
+    }
+
+    #[test]
+    fn overflowing_expressions_evaluate_to_none() {
+        let defs = HashMap::new();
+        for expr in [
+            "(-9223372036854775807 - 1) / -1",
+            "-(-9223372036854775807 - 1)",
+            "9223372036854775807 * 2",
+            "9223372036854775807 + 1",
+            "(-9223372036854775807) - 2",
+            "1 / 0",
+        ] {
+            assert_eq!(eval_expr(expr, &defs, 0), None, "{expr}");
+        }
+        assert_eq!(
+            eval_expr("-9223372036854775807 - 1", &defs, 0),
+            Some(i64::MIN)
+        );
     }
 
     #[test]

@@ -362,7 +362,7 @@ impl Interp<'_> {
                 .lookup(t, *s)
                 .ok_or_else(|| ee(format!("unknown variable `{}`", self.k.syms.name(*s)))),
             Expr::Neg(x) => match self.eval(t, x)? {
-                Val::Int(n) => Ok(Val::Int(-n)),
+                Val::Int(n) => Ok(Val::Int(n.wrapping_neg())),
                 Val::Data(d) => Ok(Val::Data(mix(TAG_NEG, d))),
                 other => Err(ee(format!("cannot negate {other:?}"))),
             },
@@ -442,13 +442,13 @@ impl Interp<'_> {
                     if y == 0 {
                         return Err(ee("integer division by zero"));
                     }
-                    x / y
+                    x.wrapping_div(y)
                 }
                 BinOp::Rem => {
                     if y == 0 {
                         return Err(ee("integer remainder by zero"));
                     }
-                    x % y
+                    x.wrapping_rem(y)
                 }
                 BinOp::And => x & y,
                 BinOp::LAnd => ((x != 0) && (y != 0)) as i64,
@@ -1143,6 +1143,29 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::BarrierDivergence));
+    }
+
+    #[test]
+    fn overflowing_integer_arithmetic_wraps_instead_of_panicking() {
+        // i64::MIN / -1 and i64::MIN % -1 overflow; so does -i64::MIN.
+        // They wrap like + - *: the quotient stays i64::MIN, whose
+        // negation indexes far outside the buffer.
+        let ev = run(
+            "void k(const float* in, float* out) {\n\
+             const int q = (-9223372036854775807 - 1) / -1;\n\
+             const int m = (-9223372036854775807 - 1) % -1;\n\
+             const int n = -q;\n\
+             out[m] = in[n];\n\
+             }",
+            &env2(),
+        );
+        assert!(
+            ev.violations
+                .iter()
+                .any(|v| v.kind == ViolationKind::GlobalOob),
+            "{:?}",
+            ev.violations
+        );
     }
 
     #[test]

@@ -622,21 +622,22 @@ impl Parser {
 }
 
 /// Evaluate a constant integer expression (array dims after macro
-/// expansion). `None` if the expression mentions a variable.
+/// expansion). `None` if the expression mentions a variable, divides
+/// by zero or overflows `i64`.
 pub fn const_eval(e: &Expr) -> Option<i64> {
     match e {
         Expr::Num(n) => Some(*n),
-        Expr::Neg(x) => const_eval(x).map(|v| -v),
+        Expr::Neg(x) => const_eval(x)?.checked_neg(),
         Expr::CastInt(x) => const_eval(x),
         Expr::Bin(op, a, b) => {
             let a = const_eval(a)?;
             let b = const_eval(b)?;
             match op {
-                BinOp::Add => Some(a + b),
-                BinOp::Sub => Some(a - b),
-                BinOp::Mul => Some(a * b),
-                BinOp::Div => (b != 0).then(|| a / b),
-                BinOp::Rem => (b != 0).then(|| a % b),
+                BinOp::Add => a.checked_add(b),
+                BinOp::Sub => a.checked_sub(b),
+                BinOp::Mul => a.checked_mul(b),
+                BinOp::Div => a.checked_div(b),
+                BinOp::Rem => a.checked_rem(b),
                 BinOp::And => Some(a & b),
                 _ => None,
             }
@@ -767,6 +768,25 @@ extern \"C\" __global__ void k(const float* __restrict__ in, float* __restrict__
         // tx, ty decls + pipe decl + for + barrier + if
         assert_eq!(k.body.len(), 6);
         assert!(matches!(k.body[4], Stmt::Barrier { .. }));
+    }
+
+    #[test]
+    fn overflowing_constant_dims_are_a_parse_error() {
+        for dims in [
+            "99999999999999999999 * 4",
+            "(-9223372036854775807 - 1) / -1",
+            "(-9223372036854775807 - 1) % -1",
+            "-(-9223372036854775807 - 1)",
+            "9223372036854775807 + 1",
+        ] {
+            let src = TINY.replace("TY + 2 * R", dims);
+            let err = parse_kernel(&src).expect_err(dims);
+            assert!(
+                err.msg.contains("constant expression"),
+                "{dims}: {}",
+                err.msg
+            );
+        }
     }
 
     #[test]

@@ -74,11 +74,7 @@ pub use sweep::{
     LintOptions, SweepReport,
 };
 pub use traffic::{
-    padded_stride, padded_stride_for, predict_kernel_traffic, predict_kernel_traffic_for,
-    predict_kernel_traffic_on, predict_stats, predict_traffic, predict_traffic_on, KernelTraffic,
-    PlaneTraffic, TrafficOracle,
+    predict_kernel_traffic_on, predict_stats, predict_traffic_on, KernelTraffic, PlaneTraffic,
+    TrafficOracle,
 };
-pub use verify::{
-    verify_cuda_kernel, verify_cuda_kernel_on, verify_kernel_source, verify_kernel_source_on,
-    verify_opencl_kernel, verify_opencl_kernel_on,
-};
+pub use verify::{verify_cuda_kernel_on, verify_kernel_source_on, verify_opencl_kernel_on};

@@ -387,7 +387,8 @@ pub fn check_pipeline_depth(
 mod tests {
     use super::*;
     use crate::diag::has_errors;
-    use inplane_core::loadplan::build_plane_plan;
+    use gpu_sim::DeviceSpec;
+    use inplane_core::loadplan::build_plane_plan_on;
     use inplane_core::{Method, Variant};
     use stencil_grid::Precision;
 
@@ -415,7 +416,7 @@ mod tests {
                 let c = LaunchConfig::new(32, 8, 1, 1);
                 let g = geom(&c, order / 2);
                 let k = spec(method, order);
-                let plan = build_plane_plan(&k, &c, &g, 32);
+                let plan = build_plane_plan_on(&k, &c, &g, &DeviceSpec::gtx580());
                 let d = check_schedule(&k, &c, &plan);
                 assert!(
                     !has_errors(&d),
@@ -464,7 +465,7 @@ mod tests {
         let c = LaunchConfig::new(32, 8, 1, 1);
         let g = geom(&c, 1);
         let k = spec(Method::InPlane(Variant::FullSlice), 2);
-        let mut plan = build_plane_plan(&k, &c, &g, 32);
+        let mut plan = build_plane_plan_on(&k, &c, &g, &DeviceSpec::gtx580());
         plan.syncthreads = 3;
         let d = check_schedule(&k, &c, &plan);
         assert!(d.iter().any(|x| x.code == "LNT-S003"), "{d:?}");

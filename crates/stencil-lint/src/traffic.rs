@@ -14,16 +14,14 @@
 //! IR into a verified performance-model artifact: the paper's traffic
 //! terms (Eqns 6–14) can be evaluated on the plan without running it.
 //!
-//! [`predict_traffic`] adds the byte- and transaction-level figures a
-//! word width implies: global-load cells split from register-publish
-//! staging, per-row coalesced transaction counts over
-//! [`COALESCE_SEGMENT_BYTES`] segments, and byte volumes for stores,
-//! halo moves and gathers. The `_on` variants
-//! ([`predict_traffic_on`], [`predict_kernel_traffic_on`]) take the
-//! segment size from a [`gpu_sim::DeviceSpec`]'s
-//! `coalesce_segment_bytes` instead, so wave64/GCN parts with 64-byte
-//! segments get exact per-architecture transaction figures; the
-//! counters and byte volumes are segment-independent by construction.
+//! [`predict_traffic_on`] adds the byte- and transaction-level figures
+//! a word width implies: global-load cells split from register-publish
+//! staging, per-row coalesced transaction counts, and byte volumes for
+//! stores, halo moves and gathers. It and [`predict_kernel_traffic_on`]
+//! take the segment size from a [`gpu_sim::DeviceSpec`]'s
+//! `coalesce_segment_bytes`, so wave64/GCN parts with 64-byte segments
+//! get exact per-architecture transaction figures; the counters and
+//! byte volumes are segment-independent by construction.
 
 use inplane_core::plan::{PipelineFeed, PipelineKind, PlanOp, StagePlan, StageSource, OUTPUT_BUF};
 use inplane_core::resources::vector_width;
@@ -31,13 +29,6 @@ use inplane_core::routine::LoadPattern;
 use inplane_core::{ExecStats, KernelSpec};
 use std::collections::BTreeMap;
 use stencil_grid::Precision;
-
-/// Memory-segment size the legacy entry points assume: the 128-byte
-/// global-memory transaction of the paper's target devices. Device-
-/// aware callers should go through [`predict_traffic_on`] /
-/// [`predict_kernel_traffic_on`] with the spec's
-/// `coalesce_segment_bytes` instead.
-pub const COALESCE_SEGMENT_BYTES: u64 = gpu_sim::LEGACY_COALESCE_SEGMENT_BYTES;
 
 /// Byte/transaction figures derived from the predicted counters for
 /// one word width.
@@ -48,15 +39,14 @@ pub struct TrafficOracle {
     /// Word width the byte figures use.
     pub word_bytes: u64,
     /// Memory-segment size the transaction figures were counted
-    /// against (the device's `coalesce_segment_bytes`; see
-    /// [`COALESCE_SEGMENT_BYTES`] for the legacy default).
+    /// against (the device's `coalesce_segment_bytes`).
     pub segment_bytes: u64,
     /// Cells loaded from global memory by blocks: `Global`-source
     /// staging plus pipeline preloads and `GlobalPlane` rotation feeds
     /// (register publishes excluded — they cost no global traffic).
     pub global_load_cells: u64,
     /// Coalesced transactions those loads take, row by row, against
-    /// [`COALESCE_SEGMENT_BYTES`] segments of the row-major layout.
+    /// [`Self::segment_bytes`] segments of the row-major layout.
     pub load_transactions: u64,
     /// All staged cells (both sources) in bytes.
     pub staged_bytes: u64,
@@ -293,25 +283,18 @@ fn simulate(plan: &StagePlan, word_bytes: u64, seg: u64) -> TrafficOracle {
 /// exact equality (zero tolerance) against [`inplane_core`]'s
 /// interpreter across every method, precision and configuration.
 pub fn predict_stats(plan: &StagePlan) -> ExecStats {
-    simulate(
-        plan,
-        Precision::Single.bytes() as u64,
-        COALESCE_SEGMENT_BYTES,
-    )
-    .stats
+    // The counters read neither the word width nor the segment size;
+    // one-byte words in one-byte segments keep the figures beside them
+    // trivial.
+    simulate(plan, 1, 1).stats
 }
 
 /// Predict the full traffic picture — counters plus bytes and
-/// coalesced transactions — for `plan` at `precision`, assuming the
-/// legacy [`COALESCE_SEGMENT_BYTES`] segment size.
-pub fn predict_traffic(plan: &StagePlan, precision: Precision) -> TrafficOracle {
-    simulate(plan, precision.bytes() as u64, COALESCE_SEGMENT_BYTES)
-}
-
-/// [`predict_traffic`] against `device`'s memory-segment geometry:
-/// transactions are counted over `device.coalesce_segment_bytes`
-/// segments (64 bytes on GCN-class wave64 parts). Counters and byte
-/// volumes are identical to the legacy entry point on every device.
+/// coalesced transactions — for `plan` at `precision` against
+/// `device`'s memory-segment geometry: transactions are counted over
+/// `device.coalesce_segment_bytes` segments (64 bytes on GCN-class
+/// wave64 parts). Counters and byte volumes are the same on every
+/// device.
 pub fn predict_traffic_on(
     plan: &StagePlan,
     precision: Precision,
@@ -330,8 +313,7 @@ pub struct PlaneTraffic {
     /// Cells loaded from global memory while this plane is current.
     pub cells: u64,
     /// Coalesced transactions those loads take against the *padded*
-    /// host layout (see [`padded_stride_for`]), over the segment size
-    /// the oracle was asked for.
+    /// host layout, over the device's `coalesce_segment_bytes`.
     pub transactions: u64,
 }
 
@@ -339,7 +321,7 @@ pub struct PlaneTraffic {
 /// write-backs exactly as the *emitted* kernel issues them.
 ///
 /// This differs from [`TrafficOracle`] in two deliberate ways: rows
-/// use the generated host allocator's 128-byte padded stride (the plan
+/// use the generated host allocator's segment-padded stride (the plan
 /// oracle uses the logical `nx`), and staging extents follow the
 /// emitter — vector-extended slabs when `r % VW != 0`, `VW`-rounded
 /// sweep spans. The kernel verifier (`LNT-K005`) re-derives the same
@@ -373,17 +355,12 @@ impl KernelTraffic {
 }
 
 /// The segment-aligned row stride (in elements) the generated host
-/// code allocates for a `seg`-byte coalescing granule:
-/// `ceil(nx·b / seg) · (seg / b)` — the `STRIDE` `#define` of
-/// `generate_host`.
-pub fn padded_stride_for(nx: usize, elem_bytes: usize, seg: u64) -> u64 {
-    let b = elem_bytes as u64;
+/// code allocates on `device`: `ceil(nx·b / seg) · (seg / b)` over its
+/// `coalesce_segment_bytes` — the `STRIDE` `#define` of
+/// `generate_host_harness_on`.
+pub(crate) fn padded_stride_on(nx: usize, elem_bytes: usize, device: &gpu_sim::DeviceSpec) -> u64 {
+    let (b, seg) = (elem_bytes as u64, device.coalesce_segment_bytes);
     (nx as u64 * b).div_ceil(seg) * (seg / b)
-}
-
-/// [`padded_stride_for`] at the legacy [`COALESCE_SEGMENT_BYTES`].
-pub fn padded_stride(nx: usize, elem_bytes: usize) -> u64 {
-    padded_stride_for(nx, elem_bytes, COALESCE_SEGMENT_BYTES)
 }
 
 /// State threaded through the kernel-oracle plan walk.
@@ -414,7 +391,9 @@ impl KernelWalk {
 
 /// Re-derive the per-plane traffic the generated kernel issues for
 /// `plan` (a single-step lowering of `spec.method`), against the
-/// padded host layout.
+/// padded host layout `device`'s `coalesce_segment_bytes` implies:
+/// both the stride and the transaction counts follow the device's
+/// segment size, exactly as the generated host harness allocates.
 ///
 /// The walk mirrors the emitters region for region: pipeline preloads
 /// and `GlobalPlane` rotation feeds load the interior tile; each
@@ -423,32 +402,18 @@ impl KernelWalk {
 /// or the corner-including full-slice sweep. Extents reproduce the
 /// emitted arithmetic exactly, including the `VW`-aligned slab
 /// extension when `r % VW != 0` and the `VW`-rounded sweep span.
-pub fn predict_kernel_traffic(plan: &StagePlan, spec: &KernelSpec) -> KernelTraffic {
-    predict_kernel_traffic_for(plan, spec, COALESCE_SEGMENT_BYTES)
-}
-
-/// [`predict_kernel_traffic`] against `device`'s
-/// `coalesce_segment_bytes`: both the padded host stride and the
-/// transaction counts follow the device's segment size, exactly as the
-/// generated host harness allocates for it.
 pub fn predict_kernel_traffic_on(
     plan: &StagePlan,
     spec: &KernelSpec,
     device: &gpu_sim::DeviceSpec,
 ) -> KernelTraffic {
-    predict_kernel_traffic_for(plan, spec, device.coalesce_segment_bytes)
-}
-
-/// The generic kernel-side oracle, parameterized on the coalescing
-/// segment size in bytes.
-pub fn predict_kernel_traffic_for(plan: &StagePlan, spec: &KernelSpec, seg: u64) -> KernelTraffic {
     let r = plan.radius as i64;
     let vw = vector_width(spec).max(1) as i64;
     let routine = plan.method.routine();
     let pattern = routine.load_pattern();
     let interior_global = routine.skeleton(plan.radius).interior_source == StageSource::Global;
     let (nx, ny, _) = plan.dims;
-    let stride = padded_stride_for(nx, spec.elem_bytes, seg);
+    let stride = padded_stride_on(nx, spec.elem_bytes, device);
     let mut walk = KernelWalk {
         out: KernelTraffic {
             word_bytes: spec.elem_bytes as u64,
@@ -457,7 +422,7 @@ pub fn predict_kernel_traffic_for(plan: &StagePlan, spec: &KernelSpec, seg: u64)
         stride,
         pstride: stride * ny as u64,
         word_bytes: spec.elem_bytes as u64,
-        segment_bytes: seg,
+        segment_bytes: device.coalesce_segment_bytes,
     };
 
     struct Blk {
@@ -553,6 +518,7 @@ pub fn predict_kernel_traffic_for(plan: &StagePlan, spec: &KernelSpec, seg: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::DeviceSpec;
     use inplane_core::plan::lower_step;
     use inplane_core::{interpret_plan, LaunchConfig, Method, Variant};
     use stencil_grid::{FillPattern, Grid3, StarStencil};
@@ -599,8 +565,9 @@ mod tests {
             1,
             (10, 10, 8),
         );
-        let sp = predict_traffic(&plan, Precision::Single);
-        let dp = predict_traffic(&plan, Precision::Double);
+        let gtx580 = DeviceSpec::gtx580();
+        let sp = predict_traffic_on(&plan, Precision::Single, &gtx580);
+        let dp = predict_traffic_on(&plan, Precision::Double, &gtx580);
         assert_eq!(sp.stats, dp.stats, "counters are word-width independent");
         assert_eq!(dp.staged_bytes, 2 * sp.staged_bytes);
         assert_eq!(dp.store_bytes, 2 * sp.store_bytes);
@@ -614,16 +581,17 @@ mod tests {
 
     #[test]
     fn padded_stride_rounds_rows_to_whole_segments() {
+        let (gtx580, hd7970) = (DeviceSpec::gtx580(), DeviceSpec::hd7970());
         // 12 f32 words = 48 bytes -> one 128-byte segment = 32 words.
-        assert_eq!(padded_stride(12, 4), 32);
+        assert_eq!(padded_stride_on(12, 4, &gtx580), 32);
         // 33 f32 words = 132 bytes -> two segments = 64 words.
-        assert_eq!(padded_stride(33, 4), 64);
+        assert_eq!(padded_stride_on(33, 4, &gtx580), 64);
         // 16 f64 words fill a segment exactly.
-        assert_eq!(padded_stride(16, 8), 16);
+        assert_eq!(padded_stride_on(16, 8, &gtx580), 16);
         // 64-byte granules pad half as far: 12 f32 words -> 16.
-        assert_eq!(padded_stride_for(12, 4, 64), 16);
-        assert_eq!(padded_stride_for(33, 4, 64), 48);
-        assert_eq!(padded_stride_for(16, 8, 64), 16);
+        assert_eq!(padded_stride_on(12, 4, &hd7970), 16);
+        assert_eq!(padded_stride_on(33, 4, &hd7970), 48);
+        assert_eq!(padded_stride_on(16, 8, &hd7970), 16);
     }
 
     #[test]
@@ -634,19 +602,19 @@ mod tests {
             2,
             (20, 12, 9),
         );
-        let legacy = predict_traffic(&plan, Precision::Single);
-        let wave64 = predict_traffic_on(&plan, Precision::Single, &gpu_sim::DeviceSpec::hd7970());
-        let ampere = predict_traffic_on(&plan, Precision::Single, &gpu_sim::DeviceSpec::rtx3090());
+        let fermi = predict_traffic_on(&plan, Precision::Single, &DeviceSpec::gtx580());
+        let wave64 = predict_traffic_on(&plan, Precision::Single, &DeviceSpec::hd7970());
+        let ampere = predict_traffic_on(&plan, Precision::Single, &DeviceSpec::rtx3090());
         // Counters and byte volumes are segment-independent.
-        assert_eq!(legacy.stats, wave64.stats);
-        assert_eq!(legacy.global_load_cells, wave64.global_load_cells);
-        assert_eq!(legacy.staged_bytes, wave64.staged_bytes);
-        assert_eq!(legacy.store_bytes, wave64.store_bytes);
+        assert_eq!(fermi.stats, wave64.stats);
+        assert_eq!(fermi.global_load_cells, wave64.global_load_cells);
+        assert_eq!(fermi.staged_bytes, wave64.staged_bytes);
+        assert_eq!(fermi.store_bytes, wave64.store_bytes);
         // A 64-byte segment can only split, never merge, transactions.
-        assert!(wave64.load_transactions >= legacy.load_transactions);
+        assert!(wave64.load_transactions >= fermi.load_transactions);
         assert_eq!(wave64.segment_bytes, 64);
         // Ampere keeps the legacy 128-byte padding granule.
-        assert_eq!(ampere, legacy);
+        assert_eq!(ampere, fermi);
         assert!(wave64.to_json().contains("\"segment_bytes\":64"));
     }
 
@@ -685,8 +653,9 @@ mod tests {
         ] {
             let spec = KernelSpec::star_order(method, order, Precision::Single);
             let plan = lower_step(method, &config, spec.radius, dims);
-            let kt = predict_kernel_traffic(&plan, &spec);
-            let po = predict_traffic(&plan, Precision::Single);
+            let gtx580 = DeviceSpec::gtx580();
+            let kt = predict_kernel_traffic_on(&plan, &spec, &gtx580);
+            let po = predict_traffic_on(&plan, Precision::Single, &gtx580);
             assert_eq!(kt.total_load_cells(), po.global_load_cells, "{method}");
             assert_eq!(kt.total_store_cells(), po.stats.global_writes, "{method}");
             assert!(kt.total_load_transactions() > 0, "{method}");

@@ -23,10 +23,10 @@
 //!   staged value is benign — the vertical slab's overlap);
 //! * **K005** — the per-plane global-load cell and coalesced-segment
 //!   figures re-derived from the AST's load events equal
-//!   [`crate::traffic::predict_kernel_traffic`] exactly (over the
-//!   device's `coalesce_segment_bytes` for the `_on` entry points —
-//!   64-byte segments on wave64/GCN parts), and the store total equals
-//!   [`crate::traffic::predict_traffic`]'s `global_writes` — the
+//!   [`crate::traffic::predict_kernel_traffic_on`] exactly (over the
+//!   device's `coalesce_segment_bytes` — 64-byte segments on wave64/GCN
+//!   parts), and the store total equals
+//!   [`crate::traffic::predict_stats`]' `global_writes` — the
 //!   traffic oracle proven three ways (interpreter = plan walk =
 //!   emitted text);
 //! * **K006** — the source stays inside the verified subset: it
@@ -41,8 +41,7 @@ use crate::diag::Diagnostic;
 use crate::kernelir::lexer::Pos;
 use crate::kernelir::{parse_kernel, run_block, BlockEvents, LaunchEnv, Violation, ViolationKind};
 use crate::traffic::{
-    padded_stride_for, predict_kernel_traffic_for, predict_traffic, row_transactions,
-    KernelTraffic, COALESCE_SEGMENT_BYTES,
+    padded_stride_on, predict_kernel_traffic_on, predict_stats, row_transactions, KernelTraffic,
 };
 use gpu_sim::DeviceSpec;
 use inplane_core::plan::lower_step;
@@ -52,30 +51,12 @@ use std::collections::{BTreeMap, HashSet};
 use stencil_codegen::{generate_kernel, generate_opencl_kernel_full, SourceAnchor};
 
 /// Generate the CUDA kernel for `(spec, config)` and verify it against
-/// `dims` (full halo-framed extents; the interior must tile exactly),
-/// assuming the legacy 128-byte coalescing geometry.
-pub fn verify_cuda_kernel(
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-) -> Vec<Diagnostic> {
-    let k = generate_kernel(spec, config);
-    verify_source_for(
-        &k.source,
-        &k.name,
-        &k.anchors,
-        spec,
-        config,
-        dims,
-        COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`verify_cuda_kernel`] against `device`'s coalescing geometry: the
-/// abstract interpreter runs with the segment-padded host stride and
-/// K005 re-derives transactions over `device.coalesce_segment_bytes`
-/// segments. The emitted text is unchanged — kernels take
-/// `stride`/`pstride` as runtime arguments.
+/// `dims` (full halo-framed extents; the interior must tile exactly)
+/// and `device`'s coalescing geometry: the abstract interpreter runs
+/// with the segment-padded host stride and K005 re-derives transactions
+/// over `device.coalesce_segment_bytes` segments. The emitted text is
+/// the same on every device — kernels take `stride`/`pstride` as
+/// runtime arguments.
 pub fn verify_cuda_kernel_on(
     spec: &KernelSpec,
     config: &LaunchConfig,
@@ -83,43 +64,15 @@ pub fn verify_cuda_kernel_on(
     device: &DeviceSpec,
 ) -> Vec<Diagnostic> {
     let k = generate_kernel(spec, config);
-    verify_source_for(
-        &k.source,
-        &k.name,
-        &k.anchors,
-        spec,
-        config,
-        dims,
-        device.coalesce_segment_bytes,
-    )
+    verify_kernel_source_on(&k.source, &k.name, &k.anchors, spec, config, dims, device)
 }
 
-/// Generate the OpenCL kernel for `(spec, config)` and verify it.
+/// Generate the OpenCL kernel for `(spec, config)` and verify it like
+/// [`verify_cuda_kernel_on`].
 ///
 /// # Panics
 /// Panics for routines without an OpenCL port (`opencl_supported`
 /// false), like the generator itself.
-pub fn verify_opencl_kernel(
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-) -> Vec<Diagnostic> {
-    let k = generate_opencl_kernel_full(spec, config);
-    verify_source_for(
-        &k.source,
-        &k.name,
-        &k.anchors,
-        spec,
-        config,
-        dims,
-        COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`verify_opencl_kernel`] against `device`'s coalescing geometry.
-///
-/// # Panics
-/// Panics for routines without an OpenCL port, like the generator.
 pub fn verify_opencl_kernel_on(
     spec: &KernelSpec,
     config: &LaunchConfig,
@@ -127,49 +80,17 @@ pub fn verify_opencl_kernel_on(
     device: &DeviceSpec,
 ) -> Vec<Diagnostic> {
     let k = generate_opencl_kernel_full(spec, config);
-    verify_source_for(
-        &k.source,
-        &k.name,
-        &k.anchors,
-        spec,
-        config,
-        dims,
-        device.coalesce_segment_bytes,
-    )
+    verify_kernel_source_on(&k.source, &k.name, &k.anchors, spec, config, dims, device)
 }
 
 /// Verify arbitrary kernel `source` claiming to implement
-/// `(spec, config)` over `dims`, assuming the legacy 128-byte
-/// coalescing geometry. `expected_name` is the routine's kernel
-/// function name; `anchors` (possibly empty) label emitter phases for
-/// diagnostics.
+/// `(spec, config)` over `dims` against `device`'s coalescing geometry.
+/// `expected_name` is the routine's kernel function name; `anchors`
+/// (possibly empty) label emitter phases for diagnostics.
 ///
-/// # Panics
-/// Panics when `dims` does not tile exactly: the interior extents
-/// must be positive multiples of the tile, and `nz >= 2r + 1`.
-pub fn verify_kernel_source(
-    source: &str,
-    expected_name: &str,
-    anchors: &[SourceAnchor],
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-) -> Vec<Diagnostic> {
-    verify_source_for(
-        source,
-        expected_name,
-        anchors,
-        spec,
-        config,
-        dims,
-        COALESCE_SEGMENT_BYTES,
-    )
-}
-
-/// [`verify_kernel_source`] against `device`'s coalescing geometry.
-///
-/// # Panics
-/// Panics when `dims` does not tile exactly, like the legacy entry.
+/// `dims` must tile exactly — interior extents positive multiples of
+/// the tile, `nz >= 2r + 1` — or the result is a single `LNT-K006`
+/// naming the failed condition.
 pub fn verify_kernel_source_on(
     source: &str,
     expected_name: &str,
@@ -179,42 +100,24 @@ pub fn verify_kernel_source_on(
     dims: (usize, usize, usize),
     device: &DeviceSpec,
 ) -> Vec<Diagnostic> {
-    verify_source_for(
-        source,
-        expected_name,
-        anchors,
-        spec,
-        config,
-        dims,
-        device.coalesce_segment_bytes,
-    )
-}
-
-/// The generic verifier, parameterized on the coalescing segment size
-/// the host allocator pads rows to.
-#[allow(clippy::too_many_arguments)]
-fn verify_source_for(
-    source: &str,
-    expected_name: &str,
-    anchors: &[SourceAnchor],
-    spec: &KernelSpec,
-    config: &LaunchConfig,
-    dims: (usize, usize, usize),
-    seg: u64,
-) -> Vec<Diagnostic> {
+    let seg = device.coalesce_segment_bytes;
     let r = spec.radius as i64;
     let vw = vector_width(spec).max(1) as i64;
     let (wx, wy) = (config.tile_x() as i64, config.tile_y() as i64);
     let (nx, ny, nz) = (dims.0 as i64, dims.1 as i64, dims.2 as i64);
-    assert!(
-        nx > 2 * r && (nx - 2 * r) % wx == 0,
-        "interior x extent must be a positive multiple of the tile width"
-    );
-    assert!(
-        ny > 2 * r && (ny - 2 * r) % wy == 0,
-        "interior y extent must be a positive multiple of the tile height"
-    );
-    assert!(nz > 2 * r, "nz must cover the full stencil depth");
+    let untiled = if !(nx > 2 * r && (nx - 2 * r) % wx == 0) {
+        Some("interior x extent must be a positive multiple of the tile width")
+    } else if !(ny > 2 * r && (ny - 2 * r) % wy == 0) {
+        Some("interior y extent must be a positive multiple of the tile height")
+    } else if nz <= 2 * r {
+        Some("nz must cover the full stencil depth")
+    } else {
+        None
+    };
+    if let Some(condition) = untiled {
+        return vec![Diagnostic::error("LNT-K006", condition)
+            .with("dims", format!("{}x{}x{}", dims.0, dims.1, dims.2))];
+    }
 
     let mut diags = Vec::new();
     let kernel = match parse_kernel(source) {
@@ -250,7 +153,7 @@ fn verify_source_for(
 
     let routine = spec.method.routine();
     let sk = routine.skeleton(spec.radius);
-    let stride = padded_stride_for(dims.0, spec.elem_bytes, seg) as i64;
+    let stride = padded_stride_on(dims.0, spec.elem_bytes, device) as i64;
     let (gx, gy) = ((nx - 2 * r) / wx, (ny - 2 * r) / wy);
     let env = LaunchEnv {
         block: (config.tx as i64, config.ty as i64),
@@ -304,9 +207,9 @@ fn verify_source_for(
     // K005: only meaningful for kernels that executed cleanly.
     if diags.is_empty() {
         let plan = lower_step(spec.method, config, spec.radius, dims);
-        let oracle = predict_kernel_traffic_for(&plan, spec, seg);
+        let oracle = predict_kernel_traffic_on(&plan, spec, device);
         compare_traffic(&derived, &oracle, &mut diags);
-        let stats = predict_traffic(&plan, spec.precision()).stats;
+        let stats = predict_stats(&plan);
         if derived.total_store_cells() != stats.global_writes {
             diags.push(
                 Diagnostic::error(
@@ -565,7 +468,7 @@ mod tests {
             let spec = KernelSpec::star_order(method, 4, Precision::Single);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 1, 1);
-            let diags = verify_cuda_kernel(&spec, &config, dims);
+            let diags = verify_cuda_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
             assert!(diags.is_empty(), "{method}: {:?}", diags);
         }
     }
@@ -576,7 +479,7 @@ mod tests {
             let spec = KernelSpec::star_order(method, 4, Precision::Double);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 2, 1);
-            let diags = verify_opencl_kernel(&spec, &config, dims);
+            let diags = verify_opencl_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
             assert!(diags.is_empty(), "{method}: {:?}", diags);
         }
     }
@@ -611,7 +514,15 @@ mod tests {
         let k = generate_kernel(&spec, &config);
         let tampered = k.source.replacen("__syncthreads();", "", 1);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(&tampered, &k.name, &k.anchors, &spec, &config, dims);
+        let diags = verify_kernel_source_on(
+            &tampered,
+            &k.name,
+            &k.anchors,
+            &spec,
+            &config,
+            dims,
+            &DeviceSpec::gtx580(),
+        );
         assert!(
             diags.iter().any(|d| d.code.starts_with("LNT-K")),
             "{diags:?}"
@@ -623,13 +534,14 @@ mod tests {
         let spec = KernelSpec::star_order(Method::ForwardPlane, 2, Precision::Single);
         let config = LaunchConfig::new(8, 2, 1, 1);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(
+        let diags = verify_kernel_source_on(
             "void broken(",
             "stencil_forward_plane",
             &[],
             &spec,
             &config,
             dims,
+            &DeviceSpec::gtx580(),
         );
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "LNT-K006");
@@ -641,15 +553,35 @@ mod tests {
         let config = LaunchConfig::new(8, 2, 1, 1);
         let k = generate_kernel(&spec, &config);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(
+        let diags = verify_kernel_source_on(
             &k.source,
             "some_other_name",
             &k.anchors,
             &spec,
             &config,
             dims,
+            &DeviceSpec::gtx580(),
         );
         assert!(diags.iter().any(|d| d.code == "LNT-K006"), "{diags:?}");
+    }
+
+    #[test]
+    fn untiled_dims_are_k006_not_a_panic() {
+        let spec = KernelSpec::star_order(Method::ForwardPlane, 2, Precision::Single);
+        // Interior 8 is not a multiple of the 32-wide tile.
+        let config = LaunchConfig::new(32, 1, 1, 1);
+        let diags = verify_cuda_kernel_on(&spec, &config, (10, 10, 10), &DeviceSpec::gtx580());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, "LNT-K006");
+        assert!(diags[0].message.contains("tile width"), "{diags:?}");
+        // Each extent reports its own condition.
+        let config = LaunchConfig::new(8, 2, 1, 1);
+        let y = verify_cuda_kernel_on(&spec, &config, (10, 9, 10), &DeviceSpec::gtx580());
+        assert!(y[0].message.contains("tile height"), "{y:?}");
+        let z = verify_cuda_kernel_on(&spec, &config, (10, 10, 2), &DeviceSpec::gtx580());
+        assert!(z[0].message.contains("stencil depth"), "{z:?}");
+        let tiny = verify_cuda_kernel_on(&spec, &config, (0, 0, 0), &DeviceSpec::gtx580());
+        assert_eq!(tiny[0].code, "LNT-K006");
     }
 
     #[test]
@@ -663,7 +595,15 @@ mod tests {
         let tampered = k.source.replace("(z + R + 1)", "(z + R + 2)");
         assert_ne!(tampered, k.source);
         let dims = dims_for(&spec, &config, 1, 1);
-        let diags = verify_kernel_source(&tampered, &k.name, &k.anchors, &spec, &config, dims);
+        let diags = verify_kernel_source_on(
+            &tampered,
+            &k.name,
+            &k.anchors,
+            &spec,
+            &config,
+            dims,
+            &DeviceSpec::gtx580(),
+        );
         assert!(
             diags
                 .iter()

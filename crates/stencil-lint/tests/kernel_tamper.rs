@@ -16,11 +16,12 @@
 //!   barriers or traffic, which is the documented boundary of the
 //!   verified subset (numerical equivalence is the emulator's job).
 
+use gpu_sim::DeviceSpec;
 use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
 use stencil_codegen::{generate_kernel, generate_opencl_kernel_full};
 use stencil_grid::Precision;
-use stencil_lint::{verify_kernel_source, Severity};
+use stencil_lint::{verify_kernel_source_on, Severity};
 
 const METHODS: [Method; 6] = [
     Method::ForwardPlane,
@@ -223,7 +224,9 @@ proptest! {
 
         // The pristine kernel proves clean — the property below is
         // about the mutation, not a pre-existing finding.
-        let clean = verify_kernel_source(&source, &name, &anchors, &spec, &config, dims);
+        let gtx580 = DeviceSpec::gtx580();
+        let clean =
+            verify_kernel_source_on(&source, &name, &anchors, &spec, &config, dims, &gtx580);
         prop_assert!(clean.is_empty(), "pristine kernel not clean: {clean:?}");
 
         let sites = collect_sites(&source, barrier_stmt);
@@ -233,7 +236,8 @@ proptest! {
             return Ok(()); // byte-identical: nothing to detect
         };
 
-        let diags = verify_kernel_source(&mutated, &name, &anchors, &spec, &config, dims);
+        let diags =
+            verify_kernel_source_on(&mutated, &name, &anchors, &spec, &config, dims, &gtx580);
         prop_assert!(
             diags.iter().any(|d| d.severity == Severity::Error && d.code.starts_with("LNT-K")),
             "{method:?} {config} {site:?} ({}): mutation survived the verifier: {diags:?}",

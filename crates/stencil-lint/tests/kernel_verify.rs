@@ -1,23 +1,26 @@
 //! Differential suite for the kernel verifier: the traffic oracle is
 //! proven **three ways** over the whole routine registry.
 //!
-//! 1. the plan-level oracle [`stencil_lint::predict_traffic`] predicts
+//! 1. the plan-level oracle [`stencil_lint::predict_traffic_on`] predicts
 //!    the interpreter's counters from the op stream (pinned elsewhere);
-//! 2. the AST-level oracle [`stencil_lint::predict_kernel_traffic`]
+//! 2. the AST-level oracle [`stencil_lint::predict_kernel_traffic_on`]
 //!    re-derives per-plane cell figures from the same plan under the
 //!    emitters' layout rules, and must agree with (1) on cells and
 //!    stores for vector-aligned configurations;
 //! 3. the abstract interpreter executes the *emitted text* and the
 //!    per-plane traffic it observes must equal (2) exactly — that is
-//!    the `LNT-K005` check inside [`stencil_lint::verify_cuda_kernel`].
+//!    the `LNT-K005` check inside [`stencil_lint::verify_cuda_kernel_on`].
+//!
+//! Every leg runs on the GTX580's geometry: warp 32, 128-byte segments.
 //!
 //! Any drift between the emitters, the lowered plan and the oracles
 //! breaks one of the equalities below.
 
+use gpu_sim::DeviceSpec;
 use inplane_core::{registry, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_grid::Precision;
 use stencil_lint::{
-    predict_kernel_traffic, predict_traffic, verify_cuda_kernel, verify_opencl_kernel,
+    predict_kernel_traffic_on, predict_traffic_on, verify_cuda_kernel_on, verify_opencl_kernel_on,
 };
 
 /// Smallest grid that exercises prologue, steady state and the store
@@ -55,14 +58,14 @@ fn every_routine_verifies_clean_on_both_precisions() {
             for ((tx, ty, rx, ry), (gx, gy)) in SHAPES {
                 let config = LaunchConfig::new(tx, ty, rx, ry);
                 let dims = dims_for(&spec, &config, gx, gy);
-                let d = verify_cuda_kernel(&spec, &config, dims);
+                let d = verify_cuda_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
                 assert!(
                     d.is_empty(),
                     "{method:?} {precision:?} {config} CUDA: {:?}",
                     d.iter().map(|x| x.render()).collect::<Vec<_>>()
                 );
                 if routine.opencl_supported() {
-                    let d = verify_opencl_kernel(&spec, &config, dims);
+                    let d = verify_opencl_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
                     assert!(
                         d.is_empty(),
                         "{method:?} {precision:?} {config} OpenCL: {:?}",
@@ -90,7 +93,7 @@ fn high_order_kernels_verify_clean() {
             let spec = KernelSpec::star_order(method, 8, precision);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 1, 1);
-            let d = verify_cuda_kernel(&spec, &config, dims);
+            let d = verify_cuda_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
             assert!(
                 d.is_empty(),
                 "{method:?} {precision:?}: {:?}",
@@ -118,8 +121,9 @@ fn kernel_oracle_agrees_with_plan_oracle_on_cells_and_stores() {
                     let config = LaunchConfig::new(tx, ty, rx, ry);
                     let dims = dims_for(&spec, &config, gx, gy);
                     let plan = inplane_core::lower_step(method, &config, spec.radius, dims);
-                    let kt = predict_kernel_traffic(&plan, &spec);
-                    let po = predict_traffic(&plan, precision);
+                    let gtx580 = DeviceSpec::gtx580();
+                    let kt = predict_kernel_traffic_on(&plan, &spec, &gtx580);
+                    let po = predict_traffic_on(&plan, precision, &gtx580);
                     if spec.radius.is_multiple_of(vw) {
                         assert_eq!(
                             kt.total_load_cells(),

@@ -11,16 +11,23 @@
 //! * both geometries predict the interpreter's `ExecStats` **exactly**
 //!   (counters and byte volumes are segment-independent by
 //!   construction — only transaction figures may differ);
-//! * the wave64 device entry point agrees with the explicit 64-byte
-//!   figure, and the legacy entry point with the explicit 128-byte one.
+//! * the oracles read only `coalesce_segment_bytes` off the device:
+//!   hd7970 agrees with a GTX580 re-granuled to 64 bytes, and the
+//!   RTX 3090 with the GTX580's 128 bytes.
 
 use gpu_sim::DeviceSpec;
 use inplane_core::{interpret_plan, lower_step, KernelSpec, LaunchConfig};
 use stencil_grid::{FillPattern, Grid3, Precision, StarStencil};
-use stencil_lint::traffic::{
-    predict_kernel_traffic, predict_kernel_traffic_for, predict_kernel_traffic_on, predict_traffic,
-    predict_traffic_on,
-};
+use stencil_lint::traffic::{predict_kernel_traffic_on, predict_traffic_on};
+
+/// The paper's GTX580 with its coalescing granule replaced by `seg`
+/// bytes: every other field stays NVIDIA Fermi.
+fn gtx580_with_segment(seg: u64) -> DeviceSpec {
+    DeviceSpec {
+        coalesce_segment_bytes: seg,
+        ..DeviceSpec::gtx580()
+    }
+}
 
 /// Wavefront-aligned configs: TX multiples of the hd7970 half-wavefront
 /// (32), so the same shapes are enumerable on both vendors.
@@ -43,7 +50,9 @@ fn dims_for(r: usize, config: &LaunchConfig) -> (usize, usize, usize) {
 #[test]
 fn finer_segments_never_reduce_transactions_and_stats_stay_exact() {
     let hd7970 = DeviceSpec::hd7970();
+    let gtx580 = DeviceSpec::gtx580();
     assert_eq!(hd7970.coalesce_segment_bytes, 64);
+    assert_eq!(gtx580.coalesce_segment_bytes, 128);
     for routine in inplane_core::registry() {
         let method = routine.method();
         for precision in [Precision::Single, Precision::Double] {
@@ -55,7 +64,7 @@ fn finer_segments_never_reduce_transactions_and_stats_stay_exact() {
                 let label = format!("{method} {precision:?} {config:?}");
 
                 // Plan oracle under both geometries.
-                let seg128 = predict_traffic(&plan, precision);
+                let seg128 = predict_traffic_on(&plan, precision, &gtx580);
                 let seg64 = predict_traffic_on(&plan, precision, &hd7970);
                 assert_eq!(seg128.segment_bytes, 128, "{label}");
                 assert_eq!(seg64.segment_bytes, 64, "{label}");
@@ -79,11 +88,11 @@ fn finer_segments_never_reduce_transactions_and_stats_stay_exact() {
                 assert_eq!(seg64.stats, dynamic, "{label}: oracle vs interpreter");
 
                 // Kernel-side oracle: same monotonicity, same cells.
-                let kt128 = predict_kernel_traffic(&plan, &spec);
+                let kt128 = predict_kernel_traffic_on(&plan, &spec, &gtx580);
                 let kt64 = predict_kernel_traffic_on(&plan, &spec, &hd7970);
                 assert_eq!(
                     kt64,
-                    predict_kernel_traffic_for(&plan, &spec, 64),
+                    predict_kernel_traffic_on(&plan, &spec, &gtx580_with_segment(64)),
                     "{label}"
                 );
                 assert_eq!(kt64.total_load_cells(), kt128.total_load_cells(), "{label}");
@@ -105,10 +114,12 @@ fn finer_segments_never_reduce_transactions_and_stats_stay_exact() {
 
 #[test]
 fn wave64_entry_points_agree_with_explicit_segment_figures() {
-    // The device-taking wrappers must be pure plumbing: hd7970 ==
-    // explicit 64, rtx3090 == legacy 128, on a representative plan.
+    // The oracles must read nothing but the segment size off the
+    // device: hd7970 == a 64-byte GTX580, rtx3090 == the 128-byte
+    // GTX580, on a representative plan.
     let hd7970 = DeviceSpec::hd7970();
     let rtx3090 = DeviceSpec::rtx3090();
+    let gtx580 = DeviceSpec::gtx580();
     let method = inplane_core::Method::InPlane(inplane_core::Variant::FullSlice);
     let config = LaunchConfig::new(32, 2, 1, 2);
     let spec = KernelSpec::star_order(method, 4, Precision::Single);
@@ -117,10 +128,18 @@ fn wave64_entry_points_agree_with_explicit_segment_figures() {
 
     let amd = predict_traffic_on(&plan, Precision::Single, &hd7970);
     let nv = predict_traffic_on(&plan, Precision::Single, &rtx3090);
-    assert_eq!(nv, predict_traffic(&plan, Precision::Single));
+    assert_eq!(nv, predict_traffic_on(&plan, Precision::Single, &gtx580));
+    assert_eq!(
+        amd,
+        predict_traffic_on(&plan, Precision::Single, &gtx580_with_segment(64))
+    );
     assert_eq!(amd.segment_bytes, 64);
     assert_eq!(
         predict_kernel_traffic_on(&plan, &spec, &rtx3090),
-        predict_kernel_traffic(&plan, &spec)
+        predict_kernel_traffic_on(&plan, &spec, &gtx580)
+    );
+    assert_eq!(
+        predict_kernel_traffic_on(&plan, &spec, &hd7970),
+        predict_kernel_traffic_on(&plan, &spec, &gtx580_with_segment(64))
     );
 }

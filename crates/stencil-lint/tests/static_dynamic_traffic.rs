@@ -8,9 +8,10 @@
 //! documented warnings/notes (drain-phase dead arms, box-granular
 //! transport, final-step exchanges, full-slice corner staging).
 
+use gpu_sim::DeviceSpec;
 use inplane_core::{interpret_plan, lower_step, LaunchConfig, Method, Variant};
 use stencil_grid::{FillPattern, Grid3, Precision, Real, StarStencil};
-use stencil_lint::{analyze_plan, predict_stats, predict_traffic};
+use stencil_lint::{analyze_plan, predict_stats, predict_traffic_on};
 use stencil_multigpu::multi_gpu_stage_plan;
 use stencil_temporal::temporal_stage_plan;
 
@@ -70,8 +71,8 @@ fn byte_figures_track_precision_on_every_method() {
     let config = LaunchConfig::new(8, 2, 1, 3);
     for method in METHODS {
         let plan = lower_step(method, &config, 2, (12, 12, 12));
-        let sp = predict_traffic(&plan, Precision::Single);
-        let dp = predict_traffic(&plan, Precision::Double);
+        let sp = predict_traffic_on(&plan, Precision::Single, &DeviceSpec::gtx580());
+        let dp = predict_traffic_on(&plan, Precision::Double, &DeviceSpec::gtx580());
         assert_eq!(sp.stats, dp.stats, "counters are word-width independent");
         assert_eq!(sp.word_bytes, 4);
         assert_eq!(dp.word_bytes, 8);

@@ -18,7 +18,7 @@
 //! plan — the same instrumented interpreter every other path runs on.
 
 use inplane_core::plan::{PlanOp, StagePlan, INPUT_BUF, OUTPUT_BUF};
-use inplane_core::{interpret_plan, lower_forward, ExecStats, LaunchConfig};
+use inplane_core::{interpret_plan, lower_step, ExecStats, LaunchConfig, Method};
 use stencil_grid::{Boundary, Grid3, Real, StarStencil};
 
 /// Statistics from a temporal-tiling pass.
@@ -118,10 +118,12 @@ pub fn temporal_stage_plan(
             // tile stay exact at step s — in particular the tile
             // interior after T steps. Where the window edge coincides
             // with the true grid boundary the ring is genuinely
-            // Dirichlet, matching the global semantics.
+            // Dirichlet, matching the global semantics. The window
+            // holds the tile plus at least r on each side (halo ≥ r and
+            // the tile sits ≥ r inside the grid), so ww, wh > 2r.
             let cfg = LaunchConfig::new(ww - 2 * r, wh - 2 * r, 1, 1);
             for _ in 0..t_steps {
-                let mut step = lower_forward(&cfg, r, (ww, wh, nz));
+                let mut step = lower_step(Method::ForwardPlane, &cfg, r, (ww, wh, nz));
                 step.retarget_buffers(|id| match id {
                     INPUT_BUF => a,
                     OUTPUT_BUF => b,

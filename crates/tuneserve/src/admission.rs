@@ -7,7 +7,7 @@
 //!    its budget (e.g. queueing inside a large batch) is shed
 //!    immediately ([`ShedReason::DeadlineExpired`]);
 //! 2. **oracle triage** — the static traffic oracle
-//!    ([`stencil_lint::predict_traffic`]) prices the search from the
+//!    ([`stencil_lint::predict_traffic_on`]) prices the search from the
 //!    op stream alone: predicted bytes per configuration × space size
 //!    ÷ achieved device bandwidth. A search predicted to blow the
 //!    budget is shed *without consuming a pool permit*
@@ -27,7 +27,7 @@ use std::sync::atomic::Ordering;
 use conc_check::sync::{AtomicU64, AtomicUsize};
 
 use inplane_core::ProblemSpec;
-use stencil_lint::predict_traffic;
+use stencil_lint::predict_traffic_on;
 use stencil_tunestore::TuneRequest;
 
 /// Why a request was refused instead of served.
@@ -219,7 +219,7 @@ pub const PROXY_INTERIOR_PLANES: usize = 3;
 /// A pure function of the request (no clocks, no execution): the probe
 /// configuration's blueprint is lowered over a *proxy grid* — the full
 /// `(lx, ly)` plane but only [`PROXY_INTERIOR_PLANES`] interior planes
-/// — priced by [`predict_traffic`], scaled back to the real plane
+/// — priced by [`predict_traffic_on`], scaled back to the real plane
 /// count and multiplied by the space size, then divided by the
 /// device's achieved bandwidth. Deterministic, so shed decisions that
 /// depend only on budgets replay bit-identically.
@@ -243,7 +243,7 @@ pub fn predicted_search_micros(req: &TuneRequest) -> u64 {
         Ok(()) => {
             let bp = routine.blueprint(&probe, r, (lx, ly, proxy_lz));
             let plan = routine.lower(&bp);
-            let t = predict_traffic(&plan, req.kernel.precision());
+            let t = predict_traffic_on(&plan, req.kernel.precision(), &req.device);
             let proxy_bytes =
                 t.global_load_cells * t.word_bytes + t.store_bytes + t.halo_bytes + t.gather_bytes;
             // Scale the proxy's interior-plane traffic up to the real

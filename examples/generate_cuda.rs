@@ -12,7 +12,7 @@
 //! nvcc -O3 -arch=sm_20 generated/main.cu -o stencil && ./stencil
 //! ```
 
-use inplane_isl::codegen::{generate_host_harness, generate_kernel};
+use inplane_isl::codegen::{generate_host_harness_on, generate_kernel};
 use inplane_isl::prelude::*;
 use inplane_isl::sim::DeviceSpec;
 use stencil_grid::Precision;
@@ -35,7 +35,15 @@ fn main() -> std::io::Result<()> {
     );
 
     let gen = generate_kernel(&kernel, &best.config);
-    let host = generate_host_harness(&kernel, &best.config, dims.lx, dims.ly, dims.lz, 100);
+    let host = generate_host_harness_on(
+        &kernel,
+        &best.config,
+        dims.lx,
+        dims.ly,
+        dims.lz,
+        100,
+        &device,
+    );
 
     std::fs::create_dir_all("generated")?;
     std::fs::write("generated/kernel.cu", &gen.source)?;
