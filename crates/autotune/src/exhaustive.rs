@@ -2,10 +2,9 @@
 //! configuration is "executed" (simulated with measurement noise) and
 //! the best measured configuration wins.
 
-use crate::selector::{RoutineChoice, RoutineSelector};
 use crate::space::ParameterSpace;
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{EvalContext, KernelSpec, LaunchConfig, RoutineDiag};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig};
 
 /// One measured configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -128,32 +127,6 @@ pub fn exhaustive_tune_with(
         samples,
         provenance: Provenance::Computed,
     }
-}
-
-/// Run the [`RoutineSelector`] first, then exhaustively tune the chosen
-/// routine's kernel respec over `space`. Errors are the selector's
-/// coded rejection — the search itself never starts on an unsupported
-/// problem.
-///
-/// # Panics
-/// Panics if the space is empty (nothing to probe or tune).
-pub fn exhaustive_tune_selected(
-    ctx: &EvalContext,
-    selector: &RoutineSelector,
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    seed: u64,
-) -> Result<(RoutineChoice, TuneOutcome), RoutineDiag> {
-    assert!(
-        !space.is_empty(),
-        "cannot tune over an empty parameter space"
-    );
-    let probe = space.configs()[0];
-    let (choice, kernel) = selector.select_kernel(device, kernel, &dims, &probe)?;
-    let outcome = exhaustive_tune_with(ctx, device, &kernel, dims, space, seed);
-    Ok((choice, outcome))
 }
 
 #[cfg(test)]

@@ -25,20 +25,13 @@ pub mod space;
 pub mod stochastic;
 pub mod surface;
 
-pub use exhaustive::{
-    exhaustive_tune, exhaustive_tune_selected, exhaustive_tune_with, Provenance, TuneOutcome,
-    TuneSample,
-};
+pub use exhaustive::{exhaustive_tune, exhaustive_tune_with, Provenance, TuneOutcome, TuneSample};
 pub use model::predict_mpoints;
 pub use model_based::{
-    model_based_tune, model_based_tune_seeded_with, model_based_tune_selected,
-    model_based_tune_with, ModelBasedOutcome,
+    model_based_tune, model_based_tune_seeded_with, model_based_tune_with, ModelBasedOutcome,
 };
 pub use report::{summarize, summarize_with, StoreCounters, TuneReport};
-pub use selector::{RoutineChoice, RoutineRank, RoutineSelector, RoutineStrategy};
+pub use selector::{select_routine, RoutineChoice, RoutineRank};
 pub use space::{ParameterSpace, SpaceAudit};
-pub use stochastic::{
-    stochastic_tune, stochastic_tune_selected, stochastic_tune_with, AnnealOptions,
-    StochasticOutcome,
-};
+pub use stochastic::{stochastic_tune, stochastic_tune_with, AnnealOptions, StochasticOutcome};
 pub use surface::{performance_surface, performance_surface_with, SurfacePoint};

@@ -4,10 +4,9 @@
 
 use crate::exhaustive::{Provenance, TuneSample};
 use crate::model::predict_mpoints;
-use crate::selector::{RoutineChoice, RoutineSelector};
 use crate::space::ParameterSpace;
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{EvalContext, KernelSpec, LaunchConfig, RoutineDiag};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig};
 use rayon::prelude::*;
 
 /// Result of a model-based tuning run.
@@ -88,33 +87,6 @@ pub fn model_based_tune_with(
     seed: u64,
 ) -> ModelBasedOutcome {
     model_based_tune_seeded_with(ctx, device, kernel, dims, space, beta_percent, seed, &[])
-}
-
-/// Run the [`RoutineSelector`] first, then model-rank and tune the
-/// chosen routine's kernel respec. Errors are the selector's coded
-/// rejection.
-///
-/// # Panics
-/// Panics on an empty space or a non-positive β.
-#[allow(clippy::too_many_arguments)]
-pub fn model_based_tune_selected(
-    ctx: &EvalContext,
-    selector: &RoutineSelector,
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    beta_percent: f64,
-    seed: u64,
-) -> Result<(RoutineChoice, ModelBasedOutcome), RoutineDiag> {
-    assert!(
-        !space.is_empty(),
-        "cannot tune over an empty parameter space"
-    );
-    let probe = space.configs()[0];
-    let (choice, kernel) = selector.select_kernel(device, kernel, &dims, &probe)?;
-    let outcome = model_based_tune_with(ctx, device, &kernel, dims, space, beta_percent, seed);
-    Ok((choice, outcome))
 }
 
 /// [`model_based_tune_with`] with a warm-start: `warm_seeds` are

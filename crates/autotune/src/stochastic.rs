@@ -10,10 +10,9 @@
 //! deterministic for a given seed.
 
 use crate::exhaustive::TuneSample;
-use crate::selector::{RoutineChoice, RoutineSelector};
 use crate::space::ParameterSpace;
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{EvalContext, KernelSpec, LaunchConfig, RoutineDiag};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -114,32 +113,6 @@ pub fn stochastic_tune(
         opts,
         seed,
     )
-}
-
-/// Run the [`RoutineSelector`] first, then anneal over the chosen
-/// routine's kernel respec. Errors are the selector's coded rejection.
-///
-/// # Panics
-/// Panics if the space is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn stochastic_tune_selected(
-    ctx: &EvalContext,
-    selector: &RoutineSelector,
-    device: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: GridDims,
-    space: &ParameterSpace,
-    opts: &AnnealOptions,
-    seed: u64,
-) -> Result<(RoutineChoice, StochasticOutcome), RoutineDiag> {
-    assert!(
-        !space.is_empty(),
-        "cannot tune over an empty parameter space"
-    );
-    let probe = space.configs()[0];
-    let (choice, kernel) = selector.select_kernel(device, kernel, &dims, &probe)?;
-    let outcome = stochastic_tune_with(ctx, device, &kernel, dims, space, opts, seed);
-    Ok((choice, outcome))
 }
 
 /// [`stochastic_tune`] against an explicit evaluation context, for

@@ -78,7 +78,7 @@ fn main() -> ExitCode {
                     .map(|r| {
                         format!(
                             "{{\"label\":{},\"global_bytes\":{}}}",
-                            json_string(&r.label),
+                            json_string(&r.method.label()),
                             r.global_bytes
                         )
                     })

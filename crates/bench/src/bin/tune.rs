@@ -16,6 +16,11 @@ use stencil_bench::opts::TUNE_STORE_ENV;
 use stencil_grid::Precision;
 use stencil_tunestore::{TuneRequest, TunerSpec};
 
+/// Largest accepted grid extent and stencil order. Far beyond any
+/// simulated device's memory, and small enough that the cost model's
+/// cell and flop counts cannot overflow.
+const MAX_EXTENT: usize = 1 << 16;
+
 struct Args {
     device: DeviceSpec,
     order: usize,
@@ -27,15 +32,39 @@ struct Args {
     store: Option<String>,
 }
 
+/// The `--method` spelling of a method: its label without the
+/// `in-plane/` prefix (`nvstencil`, `full-slice`, ...).
+fn method_arg(method: Method) -> String {
+    let label = method.label();
+    match label.strip_prefix("in-plane/") {
+        Some(variant) => variant.to_string(),
+        None => label,
+    }
+}
+
+/// Parse `--method`: a full label, the bare variant label, or `forward`.
+fn parse_method(s: &str) -> Option<Method> {
+    if s == "forward" {
+        return Some(Method::ForwardPlane);
+    }
+    Method::ALL
+        .into_iter()
+        .find(|&m| m.label() == s || method_arg(m) == s)
+}
+
 fn usage() -> ! {
+    let methods: Vec<String> = Method::ALL.into_iter().map(method_arg).collect();
     eprintln!(
         "usage: tune [--device gtx580|gtx680|c2070] [--order N] [--precision sp|dp]\n\
-         \x20           [--method nvstencil|classical|vertical|horizontal|full-slice]\n\
+         \x20           [--method {}]\n\
          \x20           [--beta PCT] [--lx N --ly N --lz N] [--seed N] [--store PATH]\n\
-         --beta selects model-based tuning (execute only the top PCT% of the space);\n\
-         without it the search is exhaustive.\n\
+         --order is an even stencil order in 2..=65536; the grid extents are in\n\
+         1..=65536.\n\
+         --beta selects model-based tuning (execute only the top PCT% of the space,\n\
+         PCT > 0); without it the search is exhaustive.\n\
          --store (or INPLANE_TUNE_STORE) persists results; a repeated run is\n\
-         served from disk bit-identically without re-searching."
+         served from disk bit-identically without re-searching.",
+        methods.join("|")
     );
     std::process::exit(2)
 }
@@ -72,16 +101,7 @@ fn parse_args() -> Args {
                     _ => usage(),
                 }
             }
-            "--method" => {
-                args.method = match val().as_str() {
-                    "nvstencil" | "forward" => Method::ForwardPlane,
-                    "classical" => Method::InPlane(Variant::Classical),
-                    "vertical" => Method::InPlane(Variant::Vertical),
-                    "horizontal" => Method::InPlane(Variant::Horizontal),
-                    "full-slice" => Method::InPlane(Variant::FullSlice),
-                    _ => usage(),
-                }
-            }
+            "--method" => args.method = parse_method(&val()).unwrap_or_else(|| usage()),
             "--beta" => args.beta = Some(val().parse().unwrap_or_else(|_| usage())),
             "--lx" => lx = val().parse().unwrap_or_else(|_| usage()),
             "--ly" => ly = val().parse().unwrap_or_else(|_| usage()),
@@ -91,6 +111,12 @@ fn parse_args() -> Args {
             "--help" | "-h" => usage(),
             _ => usage(),
         }
+    }
+    let beta_ok = args.beta.is_none_or(|b| b.is_finite() && b > 0.0);
+    let order_ok = (2..=MAX_EXTENT).contains(&args.order) && args.order.is_multiple_of(2);
+    let dims_ok = [lx, ly, lz].iter().all(|d| (1..=MAX_EXTENT).contains(d));
+    if !order_ok || !dims_ok || !beta_ok {
+        usage();
     }
     args.dims = GridDims::new(lx, ly, lz);
     args
@@ -111,6 +137,13 @@ fn main() {
     );
     for (code, n) in &audit.rejections {
         println!("  rejected {code} x{n}");
+    }
+    if space.is_empty() {
+        eprintln!(
+            "tune: no feasible configuration for {} on {}",
+            kernel.name, a.device.name
+        );
+        std::process::exit(2);
     }
     if let Some(svc) = a.store.as_deref().and_then(service_at) {
         let tuner = match a.beta {

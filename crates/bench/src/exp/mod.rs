@@ -19,8 +19,7 @@ use std::sync::{Arc, OnceLock};
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{EvalContext, KernelSpec, RoutineDiag};
 use stencil_autotune::{
-    exhaustive_tune_selected, exhaustive_tune_with, ParameterSpace, RoutineChoice, RoutineSelector,
-    TuneSample,
+    exhaustive_tune_with, select_routine, ParameterSpace, RoutineChoice, TuneSample,
 };
 use stencil_tunestore::{JsonlDiskStore, TuneRequest, TuneService, TunerSpec};
 
@@ -141,12 +140,16 @@ pub fn tune_best_with(
     exhaustive_tune_with(ctx, device, kernel, dims, &space, seed).best
 }
 
-/// [`tune_best`] with oracle-first routine selection: the
-/// [`RoutineSelector`] ranks every routine that supports the problem by
-/// predicted global traffic, the winner's kernel respec is tuned, and
-/// both the choice (with its full ranking) and the tuned best come
-/// back. Errors are the selector's coded rejection — no routine can run
-/// the problem at the probe configuration.
+/// [`tune_best`] with oracle-first routine selection:
+/// [`select_routine`] ranks every method that supports the problem by
+/// predicted global traffic at the space's first configuration, the
+/// winner's kernel respec is tuned, and both the choice (with its full
+/// ranking) and the tuned best come back. The persisted key hashes the
+/// *selected* method. Errors are the selector's coded rejection — no
+/// method can run the problem at the probe configuration.
+///
+/// # Panics
+/// Panics if the space is empty (nothing to probe or tune).
 pub fn tune_best_auto(
     device: &DeviceSpec,
     kernel: &KernelSpec,
@@ -156,31 +159,29 @@ pub fn tune_best_auto(
     seed: u64,
 ) -> Result<(RoutineChoice, TuneSample), RoutineDiag> {
     let space = space_for(device, kernel, &dims, register_blocking, quick);
-    let selector = RoutineSelector::auto();
-    if let Some(svc) = global_service() {
-        let (choice, resp) = svc.resolve_selected(
-            &TuneRequest {
+    assert!(
+        !space.is_empty(),
+        "cannot tune over an empty parameter space"
+    );
+    let choice = select_routine(device, kernel, &dims, &space.configs()[0])?;
+    let kernel = kernel.with_method(choice.blueprint.method);
+    let best = match global_service() {
+        Some(svc) => {
+            svc.resolve(&TuneRequest {
                 device: device.clone(),
-                kernel: kernel.clone(),
+                kernel,
                 dims,
                 space,
                 tuner: TunerSpec::Exhaustive,
                 seed,
-            },
-            &selector,
-        )?;
-        return Ok((choice, resp.best));
-    }
-    let (choice, outcome) = exhaustive_tune_selected(
-        EvalContext::global(),
-        &selector,
-        device,
-        kernel,
-        dims,
-        &space,
-        seed,
-    )?;
-    Ok((choice, outcome.best))
+            })
+            .best
+        }
+        None => {
+            exhaustive_tune_with(EvalContext::global(), device, &kernel, dims, &space, seed).best
+        }
+    };
+    Ok((choice, best))
 }
 
 #[cfg(test)]
@@ -213,8 +214,8 @@ mod tests {
         assert!(best.mpoints > 0.0);
         assert_eq!(
             choice.ranking.len(),
-            inplane_core::registry().len(),
-            "every registered routine must be oracle-ranked: {:?}",
+            Method::ALL.len(),
+            "every method must be oracle-ranked: {:?}",
             choice.ranking
         );
         for w in choice.ranking.windows(2) {

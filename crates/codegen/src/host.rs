@@ -4,7 +4,6 @@
 //! card the way the paper's harness does.
 
 use crate::cwriter::CWriter;
-use crate::kernel::kernel_name;
 use inplane_core::{KernelSpec, LaunchConfig};
 use stencil_grid::Precision;
 
@@ -27,7 +26,7 @@ pub fn generate_host_harness_on(
         Precision::Single => "float",
         Precision::Double => "double",
     };
-    let name = kernel_name(spec.method);
+    let name = spec.method.kernel_fn_name();
     let (gx, gy) = (lx.div_ceil(config.tile_x()), ly.div_ceil(config.tile_y()));
 
     let mut w = CWriter::new();

@@ -55,12 +55,6 @@ fn vtype(p: Precision) -> &'static str {
     }
 }
 
-/// The generated function name for a method/variant (the routine's
-/// stable kernel function name).
-pub fn kernel_name(method: Method) -> &'static str {
-    method.routine().kernel_fn_name()
-}
-
 fn grid_for(lx: usize, ly: usize, c: &LaunchConfig) -> (usize, usize) {
     (lx.div_ceil(c.tile_x()), ly.div_ceil(c.tile_y()))
 }
@@ -99,7 +93,7 @@ fn emit_preamble(w: &mut CWriter, spec: &KernelSpec, name: &str) {
     w.open(&format!(
         "extern \"C\" __global__ void {name}(const {t}* __restrict__ in, {t}* __restrict__ out, int lx, int ly, int lz, int stride, int pstride)"
     ));
-    if spec.method.routine().staging_buffers() == 2 {
+    if spec.method.staging_buffers() == 2 {
         // Double-buffered staging pair; `tile` re-points per plane.
         w.line(&format!("__shared__ {t} tile_pair[2][SMEM_H][SMEM_W];"));
     } else {
@@ -216,7 +210,7 @@ fn emit_stage_plane(w: &mut CWriter, spec: &KernelSpec, method: Method) {
     } else {
         ("(x0 / VW) * VW", "((WX / VW) + 1) * VW")
     };
-    match method.routine().load_pattern() {
+    match method.load_pattern() {
         LoadPattern::ScalarRegions => {
             // Interior then the four arms, scalar (Fig 4 / Fig 6a).
             w.anchor("stage interior");
@@ -346,8 +340,7 @@ fn emit_forward_body(w: &mut CWriter, spec: &KernelSpec) {
 /// Generate the in-plane kernel body (any variant) after the preamble.
 fn emit_inplane_body(w: &mut CWriter, spec: &KernelSpec, method: Method) {
     let t = ctype(spec.precision());
-    let routine = method.routine();
-    let sk = routine.skeleton(spec.radius);
+    let sk = method.skeleton(spec.radius);
     w.anchor("pipeline preload");
     w.line(&format!("{t} zhist[RY][RX][R];"));
     w.line(&format!("{t} queue[RY][RX][R];"));
@@ -365,7 +358,7 @@ fn emit_inplane_body(w: &mut CWriter, spec: &KernelSpec, method: Method) {
     w.blank();
     w.anchor("plane loop");
     w.open("for (int z = R; z < lz; ++z)");
-    if routine.staging_buffers() == 2 {
+    if method.staging_buffers() == 2 {
         // Rotate the staging pair: stage into one buffer while the
         // previous plane's values stay live in the other (the
         // cuda-guide cp.async pipeline shape, without the async copy).
@@ -450,13 +443,12 @@ pub fn generate_kernel(spec: &KernelSpec, config: &LaunchConfig) -> GeneratedKer
         config.tile_x().is_multiple_of(vw),
         "tile width must be a multiple of the vector width"
     );
-    let routine = spec.method.routine();
-    let name = routine.kernel_fn_name().to_string();
+    let name = spec.method.kernel_fn_name().to_string();
 
     let mut w = CWriter::new();
     emit_defines(&mut w, spec, config, vw);
     emit_preamble(&mut w, spec, &name);
-    match routine.skeleton(spec.radius).compute {
+    match spec.method.skeleton(spec.radius).compute {
         ComputeShape::Direct => emit_forward_body(&mut w, spec),
         ComputeShape::Pipelined => emit_inplane_body(&mut w, spec, spec.method),
     }
@@ -470,7 +462,7 @@ pub fn generate_kernel(spec: &KernelSpec, config: &LaunchConfig) -> GeneratedKer
     GeneratedKernel {
         source,
         name,
-        smem_bytes: smem_w * smem_h * spec.elem_bytes * routine.staging_buffers(),
+        smem_bytes: smem_w * smem_h * spec.elem_bytes * spec.method.staging_buffers(),
         block: (config.tx, config.ty),
         grid_for,
         anchors,
@@ -493,8 +485,7 @@ mod tests {
 
     #[test]
     fn all_registered_routines_generate_balanced_source() {
-        for routine in inplane_core::registry() {
-            let method = routine.method();
+        for method in Method::ALL {
             for p in [Precision::Single, Precision::Double] {
                 let k = generate_kernel(&spec(method, 4, p), &cfg());
                 assert_eq!(

@@ -30,7 +30,5 @@ pub mod opencl;
 
 pub use cwriter::{CWriter, SourceAnchor};
 pub use host::generate_host_harness_on;
-pub use kernel::{generate_kernel, kernel_name, GeneratedKernel};
-pub use opencl::{
-    generate_opencl_kernel, generate_opencl_kernel_full, opencl_kernel_name, OpenClKernel,
-};
+pub use kernel::{generate_kernel, GeneratedKernel};
+pub use opencl::{generate_opencl_kernel, generate_opencl_kernel_full, OpenClKernel};

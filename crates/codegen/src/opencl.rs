@@ -10,7 +10,7 @@
 use crate::cwriter::{CWriter, SourceAnchor};
 use crate::kernel::emit_scalar_region_load;
 use inplane_core::resources::vector_width;
-use inplane_core::{ComputeShape, KernelSpec, LaunchConfig, Method};
+use inplane_core::{ComputeShape, KernelSpec, LaunchConfig};
 use stencil_grid::Precision;
 
 /// A generated OpenCL kernel: source text, function name and the
@@ -31,18 +31,6 @@ fn ctype(p: Precision) -> &'static str {
         Precision::Single => "float",
         Precision::Double => "double",
     }
-}
-
-/// The generated OpenCL kernel function name.
-///
-/// # Panics
-/// Panics for routines without an OpenCL port (those whose
-/// `opencl_supported` is false — emit them with the CUDA backend).
-pub fn opencl_kernel_name(method: Method) -> &'static str {
-    method
-        .routine()
-        .opencl_kernel_name()
-        .expect("the OpenCL backend emits the forward-plane and full-slice routines only")
 }
 
 /// Generate OpenCL C source for `(spec, config)`.
@@ -72,15 +60,14 @@ pub fn generate_opencl_kernel_full(spec: &KernelSpec, config: &LaunchConfig) -> 
         (1, 0, 1),
         "code generation covers single-grid star kernels"
     );
-    let routine = spec.method.routine();
-    assert!(
-        routine.opencl_supported(),
-        "the OpenCL backend emits the forward-plane and full-slice routines only (got {})",
-        routine.label()
-    );
+    let name = spec.method.opencl_kernel_name().unwrap_or_else(|| {
+        panic!(
+            "the OpenCL backend emits the forward-plane and full-slice routines only (got {})",
+            spec.method.label()
+        )
+    });
     let t = ctype(spec.precision());
     let vw = vector_width(spec).max(1);
-    let name = opencl_kernel_name(spec.method);
 
     let mut w = CWriter::new();
     w.anchor("defines");
@@ -111,7 +98,7 @@ pub fn generate_opencl_kernel_full(spec: &KernelSpec, config: &LaunchConfig) -> 
     w.line("const int x0 = R + (int)get_group_id(0) * WX;");
     w.line("const int y0 = R + (int)get_group_id(1) * WY;");
     w.line("const int xs = ((x0 - R) / VW) * VW;");
-    match routine.skeleton(spec.radius).compute {
+    match spec.method.skeleton(spec.radius).compute {
         ComputeShape::Direct => emit_forward(&mut w, t),
         ComputeShape::Pipelined => emit_inplane(&mut w, t),
     }
@@ -249,7 +236,7 @@ fn emit_inplane(w: &mut CWriter, t: &str) {
 mod tests {
     use super::*;
     use crate::cwriter::count_occurrences;
-    use inplane_core::Variant;
+    use inplane_core::{Method, Variant};
 
     fn spec(method: Method, order: usize, p: Precision) -> KernelSpec {
         KernelSpec::star_order(method, order, p)

@@ -85,6 +85,6 @@ proptest! {
         prop_assert!(src.contains(&def_steps));
         let grid_line = format!("dim3 grid({lx_tiles}, {ly_tiles});");
         prop_assert!(src.contains(&grid_line));
-        prop_assert!(src.contains(stencil_codegen::kernel_name(method)));
+        prop_assert!(src.contains(method.kernel_fn_name()));
     }
 }

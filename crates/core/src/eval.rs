@@ -102,9 +102,9 @@ impl PlanKey {
         fnv1a_word(&mut h, device_id);
         fnv1a_bytes(&mut h, kernel.name.as_bytes());
         for w in [
-            // The registry's stable routine id (ids 0–4 reproduce the
-            // pre-registry method codes, so cached hashes are stable).
-            kernel.method.routine().id(),
+            // The stable method id (ids 0–4 are the original method
+            // codes, so cached hashes are stable).
+            kernel.method.id(),
             kernel.radius as u64,
             kernel.elem_bytes as u64,
             kernel.flops_per_point as u64,

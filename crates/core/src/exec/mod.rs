@@ -147,7 +147,7 @@ pub fn execute_step<T: Real>(
         nx > 2 * r && ny > 2 * r && nz > 2 * r,
         "grid {nx}x{ny}x{nz} too small for radius {r}"
     );
-    // Routine-agnostic: lower through the registry, run the single
+    // Method-agnostic: lower the method's blueprint, run the single
     // interpreter.
     let plan = crate::plan::lower_step(method, config, r, input.dims());
     let stats = interpret_plan(&plan, stencil, input, out);
@@ -416,7 +416,7 @@ mod tests {
         let input: Grid3<f64> = FillPattern::HashNoise.build(7, 7, 5);
         for method in [Method::ForwardPlane, Method::InPlane(Variant::FullSlice)] {
             let mut golden = Grid3::new(7, 7, 5);
-            if method.routine().inplane_reference_order() {
+            if method.is_inplane() {
                 apply_reference_inplane_order(&s, &input, &mut golden, Boundary::CopyInput);
             } else {
                 apply_reference(&s, &input, &mut golden, Boundary::CopyInput);

@@ -113,8 +113,8 @@ impl KernelSpec {
     /// flops count exactly for every routine pair.
     pub fn with_method(&self, method: Method) -> Self {
         let mut s = self.clone();
-        let base_flops = self.flops_per_point - self.method.routine().flops_overhead(self.radius);
-        s.flops_per_point = base_flops + method.routine().flops_overhead(self.radius);
+        let base_flops = self.flops_per_point - self.method.flops_overhead(self.radius);
+        s.flops_per_point = base_flops + method.flops_overhead(self.radius);
         s.method = method;
         s.name = s.name.replace(&self.method.label(), &method.label());
         s
@@ -162,15 +162,15 @@ mod tests {
     #[test]
     fn with_method_round_trips_for_every_routine_pair() {
         // Satellite property: with_method(m1).with_method(m0) restores
-        // the original spec's flops for every registry routine pair,
+        // the original spec's flops for every method pair,
         // every order, both precisions — including app-style specs
         // whose flops are not the star formula.
         for precision in [Precision::Single, Precision::Double] {
             for order in [2usize, 4, 8, 12] {
-                for a in crate::routine::registry() {
-                    for b in crate::routine::registry() {
-                        let spec = KernelSpec::star_order(a.method(), order, precision);
-                        let rt = spec.with_method(b.method()).with_method(a.method());
+                for a in Method::ALL {
+                    for b in Method::ALL {
+                        let spec = KernelSpec::star_order(a, order, precision);
+                        let rt = spec.with_method(b).with_method(a);
                         assert_eq!(
                             rt.flops_per_point,
                             spec.flops_per_point,
@@ -183,7 +183,7 @@ mod tests {
                         // App-style spec: flops decoupled from 7r+1.
                         let mut app = spec.clone();
                         app.flops_per_point = 97 + a.flops_overhead(spec.radius);
-                        let rt = app.with_method(b.method()).with_method(a.method());
+                        let rt = app.with_method(b).with_method(a);
                         assert_eq!(rt.flops_per_point, app.flops_per_point);
                     }
                 }

@@ -53,8 +53,8 @@ pub use kernel::KernelSpec;
 pub use method::{Method, Variant};
 pub use plan::{lower_step, PlanOp, StagePlan};
 pub use routine::{
-    lower_blueprint, registry, routine_by_id, routine_by_label, Blueprint, ComputeShape,
-    LoadPattern, ProblemSpec, Routine, RoutineDiag, ScheduleSkeleton, ZFeed,
+    lower_blueprint, Blueprint, ComputeShape, LoadPattern, ProblemSpec, RoutineDiag,
+    ScheduleSkeleton, ZFeed,
 };
 pub use run::{RunOutcome, StencilRun};
 pub use simulate::{build_block_plan, measure_kernel, simulate_kernel, simulate_star_kernel};

@@ -37,7 +37,7 @@ pub fn load_regions(method: Method, geom: &TileGeometry, vec_width: usize) -> Ve
     let (iy_s, iy_e) = geom.interior_y();
     let (sx_s, sx_e) = geom.slab_x();
     let (sy_s, sy_e) = geom.slab_y();
-    match method.routine().load_pattern() {
+    match method.load_pattern() {
         LoadPattern::ScalarRegions => vec![
             // Interior first, then the four halos (Fig 4) — all scalar.
             Region {
@@ -235,11 +235,7 @@ pub fn build_plane_plan_on(
         // Barriers per plane from the routine's schedule skeleton (2
         // stage + reuse; 1 for double-buffered staging) — the same
         // count the lowered execution plan emits and LNT-S003 proves.
-        syncthreads: kernel
-            .method
-            .routine()
-            .skeleton(kernel.radius)
-            .barriers_per_plane as u64,
+        syncthreads: kernel.method.skeleton(kernel.radius).barriers_per_plane as u64,
     }
 }
 
@@ -263,7 +259,7 @@ pub fn plan_for_device_on(
     // The stock SDK baseline works on the raw (unpadded) allocation, so
     // its tiles sit misaligned by the boundary-ring width; the in-plane
     // implementation pads the grid for alignment (§III-C2).
-    if kernel.method.routine().unaligned_layout() {
+    if kernel.method.unaligned_layout() {
         geom = geom.unaligned_baseline();
     }
     let plan = build_plane_plan_on(kernel, config, &geom, device);

@@ -24,6 +24,7 @@
 
 use crate::config::LaunchConfig;
 use crate::method::Method;
+use crate::routine::lower_blueprint;
 use stencil_grid::Boundary;
 
 /// Identifier of a grid buffer in the interpreter's buffer table.
@@ -448,16 +449,15 @@ impl StagePlan {
 /// in-plane keeps `r` trailing z-values and `r + 1` queued partials.
 /// The pipeline *state* words (`z_depth + out_depth − 1`, the staged
 /// slot being the accumulator) equal [`Method::pipeline_words`].
-/// Read off the routine's schedule skeleton.
+/// Read off the method's schedule skeleton.
 pub fn pipeline_depths(method: Method, r: usize) -> (usize, usize) {
-    let sk = method.routine().skeleton(r);
+    let sk = method.skeleton(r);
     (sk.z_depth, sk.out_depth)
 }
 
 /// Lower one Jacobi step of `method` — the dispatcher every execution
-/// path (single-step, temporal, multi-GPU) builds on. Goes through the
-/// routine registry: `method.routine()` resolves the blueprint and
-/// lowers it.
+/// path (single-step, temporal, multi-GPU) builds on: the method's
+/// blueprint through the skeleton-driven [`lower_blueprint`].
 pub fn lower_step(
     method: Method,
     config: &LaunchConfig,
@@ -469,8 +469,7 @@ pub fn lower_step(
         nx > 2 * r && ny > 2 * r && nz > 2 * r,
         "grid {nx}x{ny}x{nz} too small for radius {r}"
     );
-    let routine = method.routine();
-    routine.lower(&routine.blueprint(config, r, dims))
+    lower_blueprint(&method.blueprint(config, r, dims))
 }
 
 /// The four corner-free halo arms of a tile `[ix0, ix1) × [iy0, iy1)`

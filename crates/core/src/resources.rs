@@ -32,7 +32,7 @@ pub fn regs_per_thread(kernel: &KernelSpec, config: &LaunchConfig) -> usize {
     // The routine's pipeline state: 2r+1 plane values resident per
     // point forward (§III-B); r queued partial outputs + r trailing
     // z-values in-plane (§III-C).
-    let words_per_point = kernel.method.routine().pipeline_words(r);
+    let words_per_point = kernel.method.pipeline_words(r);
     let regs_per_word = kernel.elem_bytes / 4;
     let pipeline = words_per_point * config.points_per_thread() * regs_per_word;
     // Scalar stencil coefficients (c0..cr) are declared in constant
@@ -62,16 +62,14 @@ pub fn regs_per_thread(kernel: &KernelSpec, config: &LaunchConfig) -> usize {
 pub fn smem_bytes(kernel: &KernelSpec, config: &LaunchConfig) -> usize {
     let r = kernel.radius;
     let slab = (config.tile_x() + 2 * r) * (config.tile_y() + 2 * r);
-    slab * kernel.elem_bytes
-        * kernel.streamed_inputs.max(1)
-        * kernel.method.routine().staging_buffers()
+    slab * kernel.elem_bytes * kernel.streamed_inputs.max(1) * kernel.method.staging_buffers()
 }
 
 /// Hardware vector-load width (elements per lane) this kernel uses:
 /// 4-wide `float4` / 2-wide `double2` for the routines that vectorise
 /// (§III-C2); the SDK baseline and the classical variant load scalar.
 pub fn vector_width(kernel: &KernelSpec) -> usize {
-    if kernel.method.routine().vectorised() {
+    if kernel.method.vectorised() {
         match kernel.precision() {
             Precision::Single => 4,
             Precision::Double => 2,

@@ -1,38 +1,35 @@
-//! The open routine registry: every execution strategy as a drop-in
-//! [`Routine`] trait object instead of an arm of a closed enum.
+//! The typed shape every method lowers through.
 //!
-//! A routine owns three things:
+//! A [`Method`] owns three things, each one `match` in
+//! [`crate::method`]:
 //!
-//! * **legality** — [`Routine::supports`] judges a [`ProblemSpec`] and
+//! * **legality** — [`Method::supports`] judges a [`ProblemSpec`] and
 //!   returns a coded [`RoutineDiag`] (surfaced by `stencil-lint` as an
 //!   `LNT-R*` diagnostic) instead of panicking;
-//! * **shape** — a typed [`Blueprint`] carrying the tile extent, the
-//!   pipeline word count and the per-plane [`ScheduleSkeleton`] that
-//!   every downstream layer (lowering, dataflow proof, schedule proof,
-//!   codegen, resource model) reads instead of matching on
-//!   [`Method`];
-//! * **lowering** — [`Routine::lower`] produces the [`StagePlan`] the
-//!   single instrumented interpreter runs. The default implementation,
-//!   [`lower_blueprint`], is entirely skeleton-driven: a new routine
-//!   that can describe itself as a skeleton gets lowering, the
-//!   differential suite, the dataflow proof, the traffic oracle and the
-//!   tamper property *for free*.
+//! * **shape** — [`Method::blueprint`] resolves a typed [`Blueprint`]
+//!   carrying the tile extent, the pipeline word count and the
+//!   per-plane [`ScheduleSkeleton`] that every downstream layer
+//!   (lowering, dataflow proof, schedule proof, codegen, resource model)
+//!   reads;
+//! * **identity** — [`Method::id`], a stable `u64` code that feeds
+//!   `PlanKey` and `TuneKey` hashing (ids 0–4 are the original method
+//!   codes, so stored tunes still warm-start).
 //!
-//! Routine identities are stable `u64` codes ([`Routine::id`]) that
-//! feed `PlanKey` and `TuneKey` hashing: ids 0–4 reproduce the legacy
-//! `method_code` values exactly, so tunes stored before this registry
-//! existed still warm-start. [`Method`] remains as a thin compat shim
-//! whose [`Method::routine`] is the one sanctioned enum match in the
-//! workspace.
+//! Lowering is [`lower_blueprint`], entirely skeleton-driven: a method
+//! that can describe itself as a skeleton gets lowering, the
+//! differential suite, the dataflow proof, the traffic oracle and the
+//! tamper property *for free*.
 //!
-//! The registry ships six routines: the five paper methods plus
+//! Six methods exist: the five paper methods plus
 //! [`Variant::DoubleBuffered`] — two shared-memory staging buffers
 //! rotated per plane (the `sync_buffer_cyclic` shape) so the next
 //! plane's stage overlaps the current plane's compute, which drops the
 //! per-plane reuse barrier.
 
 use crate::config::LaunchConfig;
-use crate::method::{Method, Variant};
+use crate::method::Method;
+#[cfg(doc)]
+use crate::method::Variant;
 use crate::plan::{
     halo_arms, ComputeKind, PipelineFeed, PipelineKind, PlanOp, PlanRect, StagePlan, StageSource,
     Zone, INPUT_BUF, OUTPUT_BUF,
@@ -118,7 +115,7 @@ impl ScheduleSkeleton {
     }
 }
 
-/// Everything [`Routine::supports`] judges: the problem a caller wants
+/// Everything [`Method::supports`] judges: the problem a caller wants
 /// the routine to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProblemSpec {
@@ -135,7 +132,7 @@ pub struct ProblemSpec {
     pub smem_limit: Option<usize>,
 }
 
-/// A coded rejection from [`Routine::supports`]. The code matches an
+/// A coded rejection from [`Method::supports`]. The code matches an
 /// `LNT-R*` entry in `stencil-lint`'s catalog so the sweep surfaces it
 /// as a first-class diagnostic; keeping the type here (not in the lint
 /// crate) lets `core` stay dependency-free.
@@ -147,13 +144,11 @@ pub struct RoutineDiag {
     pub message: String,
 }
 
-/// A routine's typed execution shape for one problem: everything the
+/// A method's typed execution shape for one problem: everything the
 /// lowering, the analyzers and the codegen need, resolved once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Blueprint {
-    /// [`Routine::id`] of the owning routine.
-    pub routine_id: u64,
-    /// The compat-shim method tag (carried into the lowered plan).
+    /// The method this shape belongs to (carried into the lowered plan).
     pub method: Method,
     /// Stencil radius `r`.
     pub radius: usize,
@@ -167,118 +162,6 @@ pub struct Blueprint {
     pub pipeline_words: usize,
     /// The per-plane schedule skeleton.
     pub skeleton: ScheduleSkeleton,
-}
-
-/// One execution strategy: legality, shape and lowering in one object.
-/// See the module docs for the contract; implementors normally only
-/// override the identity methods and [`Routine::skeleton`] — the
-/// default [`Routine::lower`] is fully skeleton-driven.
-pub trait Routine: Sync {
-    /// Stable registry id. Ids 0–4 are pinned to the legacy
-    /// `method_code` values (they feed `PlanKey`/`TuneKey` hashing);
-    /// new routines append.
-    fn id(&self) -> u64;
-
-    /// The compat-shim [`Method`] tag this routine lowers as.
-    fn method(&self) -> Method;
-
-    /// Display label (`"nvstencil"`, `"in-plane/full-slice"`, ...).
-    fn label(&self) -> String {
-        self.method().label()
-    }
-
-    /// The generated CUDA kernel's function name.
-    fn kernel_fn_name(&self) -> &'static str;
-
-    /// The per-plane schedule skeleton at radius `r`.
-    fn skeleton(&self, r: usize) -> ScheduleSkeleton;
-
-    /// Extra flops per point relative to the forward-plane count
-    /// (Table II: the in-plane pipeline pays `r` extra adds).
-    fn flops_overhead(&self, r: usize) -> usize;
-
-    /// Flops per point for the radius-`r` star stencil: `7r + 1` plus
-    /// the routine's overhead.
-    fn star_flops_per_point(&self, r: usize) -> usize {
-        7 * r + 1 + self.flops_overhead(r)
-    }
-
-    /// Register-pipeline state words per point.
-    fn pipeline_words(&self, r: usize) -> usize {
-        self.skeleton(r).pipeline_words()
-    }
-
-    /// Shared-memory staging buffers the routine allocates per streamed
-    /// input (1 single-buffered, 2 double-buffered).
-    fn staging_buffers(&self) -> usize {
-        1
-    }
-
-    /// Whether the routine issues vector loads (`float4`/`double2`).
-    fn vectorised(&self) -> bool;
-
-    /// Whether the routine runs on the raw unpadded allocation (the
-    /// stock SDK baseline's misaligned layout, §III-C2).
-    fn unaligned_layout(&self) -> bool {
-        false
-    }
-
-    /// Whether the CPU golden model is the in-plane summation order.
-    fn inplane_reference_order(&self) -> bool;
-
-    /// The global→shared loading pattern.
-    fn load_pattern(&self) -> LoadPattern;
-
-    /// Whether the OpenCL backend can emit this routine.
-    fn opencl_supported(&self) -> bool {
-        false
-    }
-
-    /// The generated OpenCL kernel's function name, when supported.
-    fn opencl_kernel_name(&self) -> Option<&'static str> {
-        None
-    }
-
-    /// Judge whether the routine can legally run `problem`. The default
-    /// demands the grid strictly contain the radius-`r` halo shell in
-    /// every axis (`LNT-R007`); routines with extra constraints chain
-    /// onto it.
-    fn supports(&self, problem: &ProblemSpec) -> Result<(), RoutineDiag> {
-        let (nx, ny, nz) = problem.dims;
-        let r = problem.radius;
-        if nx <= 2 * r || ny <= 2 * r || nz <= 2 * r {
-            return Err(RoutineDiag {
-                code: "LNT-R007",
-                message: format!(
-                    "{}: grid {nx}x{ny}x{nz} too small for radius {r} \
-                     (every axis must exceed 2r)",
-                    self.label()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Resolve the routine's typed shape for one problem.
-    fn blueprint(&self, config: &LaunchConfig, r: usize, dims: (usize, usize, usize)) -> Blueprint {
-        let skeleton = self.skeleton(r);
-        Blueprint {
-            routine_id: self.id(),
-            method: self.method(),
-            radius: r,
-            config: *config,
-            dims,
-            tile: (config.tile_x(), config.tile_y()),
-            pipeline_words: skeleton.pipeline_words(),
-            skeleton,
-        }
-    }
-
-    /// Lower the blueprint to the typed [`StagePlan`] IR. The default
-    /// is the generic skeleton-driven lowering.
-    fn lower(&self, blueprint: &Blueprint) -> StagePlan {
-        lower_blueprint(blueprint)
-    }
 }
 
 /// The generic skeleton-driven lowering: one interior Jacobi step over
@@ -413,378 +296,5 @@ pub fn lower_blueprint(bp: &Blueprint) -> StagePlan {
         radius: r,
         dims: bp.dims,
         ops,
-    }
-}
-
-/// The forward-plane (*nvstencil*) routine: registry id 0.
-pub struct ForwardPlaneRoutine;
-
-impl Routine for ForwardPlaneRoutine {
-    fn id(&self) -> u64 {
-        0
-    }
-
-    fn method(&self) -> Method {
-        Method::ForwardPlane
-    }
-
-    fn kernel_fn_name(&self) -> &'static str {
-        "stencil_forward_plane"
-    }
-
-    fn skeleton(&self, r: usize) -> ScheduleSkeleton {
-        ScheduleSkeleton {
-            z_depth: 2 * r + 1,
-            out_depth: 1,
-            sweep_tail: r,
-            barriers_per_plane: 2,
-            compute: ComputeShape::Direct,
-            z_feed: ZFeed::PrefetchLead { lead: r + 1 },
-            q_rotations: 0,
-            interior_source: StageSource::PipelineCentre,
-            stages_corners: false,
-        }
-    }
-
-    fn flops_overhead(&self, _r: usize) -> usize {
-        0
-    }
-
-    fn vectorised(&self) -> bool {
-        false
-    }
-
-    fn unaligned_layout(&self) -> bool {
-        true
-    }
-
-    fn inplane_reference_order(&self) -> bool {
-        false
-    }
-
-    fn load_pattern(&self) -> LoadPattern {
-        LoadPattern::ScalarRegions
-    }
-
-    fn opencl_supported(&self) -> bool {
-        true
-    }
-
-    fn opencl_kernel_name(&self) -> Option<&'static str> {
-        Some("stencil_forward_plane")
-    }
-}
-
-/// A single-buffered in-plane routine: ids 1–4 cover the four loading
-/// variants of Fig 6; the schedule skeleton is shared, only the loading
-/// pattern and corner behaviour differ.
-pub struct InPlaneRoutine {
-    variant: Variant,
-}
-
-/// The shared in-plane schedule skeleton (Eqns (3)–(5), §III-C).
-fn inplane_skeleton(r: usize, barriers_per_plane: usize, stages_corners: bool) -> ScheduleSkeleton {
-    ScheduleSkeleton {
-        z_depth: r,
-        out_depth: r + 1,
-        sweep_tail: 0,
-        barriers_per_plane,
-        compute: ComputeShape::Pipelined,
-        z_feed: ZFeed::StagedCentre,
-        q_rotations: 1,
-        interior_source: StageSource::Global,
-        stages_corners,
-    }
-}
-
-impl Routine for InPlaneRoutine {
-    fn id(&self) -> u64 {
-        1 + self.variant as u64
-    }
-
-    fn method(&self) -> Method {
-        Method::InPlane(self.variant)
-    }
-
-    fn kernel_fn_name(&self) -> &'static str {
-        match self.variant {
-            Variant::Classical => "stencil_inplane_classical",
-            Variant::Vertical => "stencil_inplane_vertical",
-            Variant::Horizontal => "stencil_inplane_horizontal",
-            Variant::FullSlice => "stencil_inplane_fullslice",
-            Variant::DoubleBuffered => "stencil_inplane_dblbuf",
-        }
-    }
-
-    fn skeleton(&self, r: usize) -> ScheduleSkeleton {
-        inplane_skeleton(r, 2, self.variant == Variant::FullSlice)
-    }
-
-    fn flops_overhead(&self, r: usize) -> usize {
-        r
-    }
-
-    fn vectorised(&self) -> bool {
-        self.variant != Variant::Classical
-    }
-
-    fn inplane_reference_order(&self) -> bool {
-        true
-    }
-
-    fn load_pattern(&self) -> LoadPattern {
-        match self.variant {
-            Variant::Classical => LoadPattern::ScalarRegions,
-            Variant::Vertical => LoadPattern::VerticalSlab,
-            Variant::Horizontal => LoadPattern::HorizontalRows,
-            Variant::FullSlice | Variant::DoubleBuffered => LoadPattern::FullSliceSweep,
-        }
-    }
-
-    fn opencl_supported(&self) -> bool {
-        self.variant == Variant::FullSlice
-    }
-
-    fn opencl_kernel_name(&self) -> Option<&'static str> {
-        (self.variant == Variant::FullSlice).then_some("stencil_inplane_fullslice")
-    }
-}
-
-/// The double-buffered plane-staging routine: registry id 5. Two
-/// shared-memory staging buffers rotated per plane (the
-/// `sync_buffer_cyclic` shape): while the block computes out of buffer
-/// `k mod 2`, the next plane stages into the other buffer, so the
-/// per-plane *reuse* barrier disappears — one `__syncthreads()` per
-/// plane instead of two — at the cost of doubling the staging
-/// footprint. Loading is the full-slice sweep (Fig 6d) per buffer.
-pub struct DoubleBufferedRoutine;
-
-impl Routine for DoubleBufferedRoutine {
-    fn id(&self) -> u64 {
-        5
-    }
-
-    fn method(&self) -> Method {
-        Method::InPlane(Variant::DoubleBuffered)
-    }
-
-    fn kernel_fn_name(&self) -> &'static str {
-        "stencil_inplane_dblbuf"
-    }
-
-    fn skeleton(&self, r: usize) -> ScheduleSkeleton {
-        inplane_skeleton(r, 1, true)
-    }
-
-    fn flops_overhead(&self, r: usize) -> usize {
-        r
-    }
-
-    fn staging_buffers(&self) -> usize {
-        2
-    }
-
-    fn vectorised(&self) -> bool {
-        true
-    }
-
-    fn inplane_reference_order(&self) -> bool {
-        true
-    }
-
-    fn load_pattern(&self) -> LoadPattern {
-        LoadPattern::FullSliceSweep
-    }
-
-    fn supports(&self, problem: &ProblemSpec) -> Result<(), RoutineDiag> {
-        // The generic grid check first.
-        let r = problem.radius;
-        let (nx, ny, nz) = problem.dims;
-        if nx <= 2 * r || ny <= 2 * r || nz <= 2 * r {
-            return Err(RoutineDiag {
-                code: "LNT-R007",
-                message: format!(
-                    "{}: grid {nx}x{ny}x{nz} too small for radius {r} \
-                     (every axis must exceed 2r)",
-                    self.label()
-                ),
-            });
-        }
-        // The staging *pair* must fit the device's shared memory.
-        if let Some(limit) = problem.smem_limit {
-            let slab = (problem.config.tile_x() + 2 * r) * (problem.config.tile_y() + 2 * r);
-            let pair = slab * problem.elem_bytes * self.staging_buffers();
-            if pair > limit {
-                return Err(RoutineDiag {
-                    code: "LNT-R008",
-                    message: format!(
-                        "{}: double-buffered staging pair needs {pair} B \
-                         shared memory, device provides {limit} B",
-                        self.label()
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-static FORWARD_PLANE: ForwardPlaneRoutine = ForwardPlaneRoutine;
-static INPLANE_CLASSICAL: InPlaneRoutine = InPlaneRoutine {
-    variant: Variant::Classical,
-};
-static INPLANE_VERTICAL: InPlaneRoutine = InPlaneRoutine {
-    variant: Variant::Vertical,
-};
-static INPLANE_HORIZONTAL: InPlaneRoutine = InPlaneRoutine {
-    variant: Variant::Horizontal,
-};
-static INPLANE_FULLSLICE: InPlaneRoutine = InPlaneRoutine {
-    variant: Variant::FullSlice,
-};
-static DOUBLE_BUFFERED: DoubleBufferedRoutine = DoubleBufferedRoutine;
-
-/// The registered routines, in stable-id order.
-pub fn registry() -> &'static [&'static dyn Routine] {
-    static REGISTRY: [&dyn Routine; 6] = [
-        &FORWARD_PLANE,
-        &INPLANE_CLASSICAL,
-        &INPLANE_VERTICAL,
-        &INPLANE_HORIZONTAL,
-        &INPLANE_FULLSLICE,
-        &DOUBLE_BUFFERED,
-    ];
-    &REGISTRY
-}
-
-/// Look a routine up by its stable id.
-pub fn routine_by_id(id: u64) -> Option<&'static dyn Routine> {
-    registry().iter().copied().find(|rt| rt.id() == id)
-}
-
-/// Look a routine up by its display label.
-pub fn routine_by_label(label: &str) -> Option<&'static dyn Routine> {
-    registry().iter().copied().find(|rt| rt.label() == label)
-}
-
-pub(crate) fn routine_for(method: Method) -> &'static dyn Routine {
-    routine_by_id(crate::method::method_code(method))
-        .expect("every Method maps onto a registered routine")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn registry_ids_are_stable_and_dense() {
-        let reg = registry();
-        assert_eq!(reg.len(), 6);
-        for (i, rt) in reg.iter().enumerate() {
-            assert_eq!(rt.id(), i as u64, "{}", rt.label());
-            assert_eq!(routine_by_id(rt.id()).unwrap().label(), rt.label());
-            assert_eq!(routine_by_label(&rt.label()).unwrap().id(), rt.id());
-        }
-        assert!(routine_by_id(99).is_none());
-        assert!(routine_by_label("no-such-routine").is_none());
-    }
-
-    #[test]
-    fn legacy_ids_match_the_method_codes() {
-        // Ids 0–4 are pinned to the pre-registry method_code values —
-        // this is what keeps stored TuneKey hashes valid.
-        assert_eq!(Method::ForwardPlane.routine().id(), 0);
-        assert_eq!(Method::InPlane(Variant::Classical).routine().id(), 1);
-        assert_eq!(Method::InPlane(Variant::Vertical).routine().id(), 2);
-        assert_eq!(Method::InPlane(Variant::Horizontal).routine().id(), 3);
-        assert_eq!(Method::InPlane(Variant::FullSlice).routine().id(), 4);
-        assert_eq!(Method::InPlane(Variant::DoubleBuffered).routine().id(), 5);
-    }
-
-    #[test]
-    fn skeleton_pipeline_words_match_the_method_table() {
-        for r in 1..=6 {
-            for rt in registry() {
-                assert_eq!(
-                    rt.pipeline_words(r),
-                    rt.method().pipeline_words(r),
-                    "{} r={r}",
-                    rt.label()
-                );
-                assert_eq!(
-                    rt.star_flops_per_point(r),
-                    rt.method().star_flops_per_point(r),
-                    "{} r={r}",
-                    rt.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn double_buffered_drops_the_reuse_barrier_and_doubles_staging() {
-        let db = &DOUBLE_BUFFERED;
-        let fs = Method::InPlane(Variant::FullSlice).routine();
-        let (a, b) = (db.skeleton(2), fs.skeleton(2));
-        assert_eq!(a.barriers_per_plane, 1);
-        assert_eq!(b.barriers_per_plane, 2);
-        assert_eq!(db.staging_buffers(), 2);
-        assert_eq!(fs.staging_buffers(), 1);
-        // Everything else agrees: the op stream differs only in the
-        // reuse barrier.
-        assert_eq!(a.z_depth, b.z_depth);
-        assert_eq!(a.out_depth, b.out_depth);
-        assert_eq!(a.sweep_tail, b.sweep_tail);
-        assert_eq!(a.compute, b.compute);
-        assert_eq!(a.z_feed, b.z_feed);
-        assert_eq!(a.stages_corners, b.stages_corners);
-    }
-
-    #[test]
-    fn supports_rejects_undersized_grids_with_a_coded_diag() {
-        let p = ProblemSpec {
-            radius: 3,
-            elem_bytes: 4,
-            config: LaunchConfig::new(8, 8, 1, 1),
-            dims: (6, 20, 20),
-            smem_limit: None,
-        };
-        for rt in registry() {
-            let err = rt.supports(&p).unwrap_err();
-            assert_eq!(err.code, "LNT-R007", "{}", rt.label());
-        }
-    }
-
-    #[test]
-    fn double_buffered_rejects_oversized_staging_pairs() {
-        let p = ProblemSpec {
-            radius: 2,
-            elem_bytes: 8,
-            config: LaunchConfig::new(64, 8, 1, 4),
-            dims: (96, 96, 32),
-            smem_limit: Some(32 * 1024),
-        };
-        // Single-buffered full-slice fits: (64+4)·(32+4)·8 = 19584 B
-        // (the lint resource checks handle its capacity separately)...
-        assert!(Method::InPlane(Variant::FullSlice)
-            .routine()
-            .supports(&p)
-            .is_ok());
-        // ...but the double-buffered pair (39168 B) does not.
-        let err = DOUBLE_BUFFERED.supports(&p).unwrap_err();
-        assert_eq!(err.code, "LNT-R008");
-        assert!(err.message.contains("39168"), "{}", err.message);
-    }
-
-    #[test]
-    fn blueprints_resolve_tile_and_words() {
-        let cfg = LaunchConfig::new(16, 4, 2, 2);
-        for rt in registry() {
-            let bp = rt.blueprint(&cfg, 3, (40, 40, 20));
-            assert_eq!(bp.routine_id, rt.id());
-            assert_eq!(bp.tile, (32, 8));
-            assert_eq!(bp.pipeline_words, rt.pipeline_words(3));
-            assert_eq!(bp.method, rt.method());
-        }
     }
 }

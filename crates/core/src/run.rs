@@ -132,7 +132,7 @@ impl<T: Real> StencilRun<T> {
             );
         });
 
-        let inplane_order = self.method.routine().inplane_reference_order();
+        let inplane_order = self.method.is_inplane();
         let (golden, _) = iterate_stencil_loop(initial, r, self.steps, |inp, out| {
             if inplane_order {
                 apply_reference_inplane_order(&self.stencil, inp, out, Boundary::CopyInput)

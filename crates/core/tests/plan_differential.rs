@@ -5,7 +5,7 @@
 //! the §III-B / §III-C floating-point summation orders term for term, so
 //! `max_abs_diff` is exactly `0.0` — not merely small.
 //!
-//! Sweep: all 6 registered routines × {f32, f64} × 3 launch configs ×
+//! Sweep: all 6 methods of `Method::ALL` × {f32, f64} × 3 launch configs ×
 //! 2 grid shapes (one cubic, one with awkward prime-ish extents that
 //! force clipped edge tiles).
 
@@ -34,7 +34,7 @@ const ORDER: usize = 4; // radius 2
 fn golden<T: Real>(method: Method, s: &StarStencil<T>, input: &Grid3<T>) -> Grid3<T> {
     let (nx, ny, nz) = input.dims();
     let mut g = Grid3::new(nx, ny, nz);
-    if method.routine().inplane_reference_order() {
+    if method.is_inplane() {
         apply_reference_inplane_order(s, input, &mut g, Boundary::LeaveOutput)
     } else {
         apply_reference(s, input, &mut g, Boundary::LeaveOutput)
@@ -91,7 +91,7 @@ fn check_one<T: Real>(
     // Barrier accounting straight off the routine's skeleton: blocks ×
     // staged planes × barriers-per-plane (2 stage+reuse, 1 for the
     // double-buffered routine).
-    let sk = method.routine().skeleton(s.radius());
+    let sk = method.skeleton(s.radius());
     let planes_staged = nz as usize - s.radius() - sk.sweep_tail;
     assert_eq!(
         census.barriers,

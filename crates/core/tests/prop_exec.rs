@@ -13,13 +13,8 @@ use stencil_grid::{
 };
 
 fn arb_method() -> impl Strategy<Value = Method> {
-    // Every registered routine, the double-buffered one included.
-    prop::sample::select(
-        inplane_core::registry()
-            .iter()
-            .map(|rt| rt.method())
-            .collect::<Vec<_>>(),
-    )
+    // Every method, the double-buffered one included.
+    prop::sample::select(Method::ALL.to_vec())
 }
 
 proptest! {
@@ -46,7 +41,7 @@ proptest! {
         let mut got = Grid3::new(n, n, n);
         execute_step(method, &stencil, &config, &input, &mut got, Boundary::CopyInput);
         let mut golden = Grid3::new(n, n, n);
-        if method.routine().inplane_reference_order() {
+        if method.is_inplane() {
             apply_reference_inplane_order(&stencil, &input, &mut golden, Boundary::CopyInput)
         } else {
             apply_reference(&stencil, &input, &mut golden, Boundary::CopyInput)

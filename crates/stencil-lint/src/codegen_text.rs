@@ -217,10 +217,9 @@ fn lint_source(
     device: Option<&DeviceSpec>,
 ) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let routine = spec.method.routine();
 
     // T001: exactly the routine's proven barrier count per plane.
-    let want_barriers = routine.skeleton(spec.radius).barriers_per_plane;
+    let want_barriers = spec.method.skeleton(spec.radius).barriers_per_plane;
     let barriers = count_occurrences(source, barrier_token);
     if barriers != want_barriers {
         diags.push(
@@ -318,7 +317,7 @@ fn lint_source(
         }
     }
     if let (Some(smem_w), Some(smem_h), Some(dev)) = (smem_w, smem_h, device) {
-        let bytes = smem_w * smem_h * spec.elem_bytes as i64 * routine.staging_buffers() as i64;
+        let bytes = smem_w * smem_h * spec.elem_bytes as i64 * spec.method.staging_buffers() as i64;
         if bytes > dev.smem_per_sm as i64 {
             diags.push(
                 Diagnostic::warning(
@@ -375,8 +374,7 @@ pub fn lint_cuda(
         .get("SMEM_H")
         .and_then(|e| eval_expr(e, &defines, 0));
     if let (Some(w), Some(h)) = (smem_w, smem_h) {
-        let formula =
-            w * h * spec.elem_bytes as i64 * spec.method.routine().staging_buffers() as i64;
+        let formula = w * h * spec.elem_bytes as i64 * spec.method.staging_buffers() as i64;
         if formula != kernel.smem_bytes as i64 {
             diags.push(
                 Diagnostic::error(
@@ -444,8 +442,7 @@ mod tests {
     #[test]
     fn generated_cuda_kernels_lint_clean() {
         let dev = DeviceSpec::gtx580();
-        for routine in inplane_core::registry() {
-            let method = routine.method();
+        for method in Method::ALL {
             for p in [Precision::Single, Precision::Double] {
                 for order in [2usize, 8] {
                     let s = spec(method, order, p);

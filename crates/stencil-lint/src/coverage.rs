@@ -67,7 +67,7 @@ fn corner_rects(geom: &TileGeometry) -> [Rect; 4] {
 /// full-slice sweep routines).
 fn stages_corners(method: Method) -> bool {
     // The skeleton's corner policy is radius-independent; probe at r=1.
-    method.routine().skeleton(1).stages_corners
+    method.skeleton(1).stages_corners
 }
 
 /// Prove the load regions of `kernel` tile the halo-framed slab of
@@ -218,11 +218,7 @@ mod tests {
 
     #[test]
     fn all_methods_tile_exactly() {
-        let methods: Vec<Method> = inplane_core::registry()
-            .iter()
-            .map(|rt| rt.method())
-            .collect();
-        for method in methods {
+        for method in Method::ALL {
             for order in [2usize, 4, 8, 12] {
                 for c in [
                     LaunchConfig::new(32, 8, 1, 1),

@@ -1136,7 +1136,7 @@ pub fn analyze_plan(plan: &StagePlan) -> DataflowReport {
         }
     }
     let mut flow = Flow {
-        sk: plan.method.routine().skeleton(plan.radius),
+        sk: plan.method.skeleton(plan.radius),
         r: plan.radius,
         bufs: vec![
             BufState::new(plan.dims, false),

@@ -13,7 +13,7 @@
 //! 4. `TY·RY` divides `LY` (`LNT-R004`);
 //! 5. the tile fits the plane (`LNT-R005`);
 //! 6. the register estimate fits the per-thread cap (`LNT-R006`);
-//! 7. the routine's own [`inplane_core::Routine::supports`] verdict —
+//! 7. the method's own [`inplane_core::Method::supports`] verdict —
 //!    grid large enough for the sweep (`LNT-R007`), and for the
 //!    double-buffered routine a staging *pair* that fits the per-SM
 //!    capacity (`LNT-R008`). The core-side `RoutineDiag` is converted
@@ -152,7 +152,7 @@ pub fn explain_feasibility(
         dims: (dims.lx, dims.ly, dims.lz),
         smem_limit: Some(device.smem_per_sm),
     };
-    if let Err(rd) = kernel.method.routine().supports(&problem) {
+    if let Err(rd) = kernel.method.supports(&problem) {
         diags.push(Diagnostic::error(rd.code, rd.message));
     }
 
@@ -312,19 +312,15 @@ mod tests {
 
     #[test]
     fn undersized_grid_is_r007_for_every_routine() {
-        for routine in inplane_core::registry() {
-            let k = KernelSpec::star_order(routine.method(), 4, Precision::Single);
+        for method in Method::ALL {
+            let k = KernelSpec::star_order(method, 4, Precision::Single);
             let d = explain_feasibility(
                 &DeviceSpec::gtx580(),
                 &k,
                 &GridDims::new(64, 64, 3), // nz = 3 <= 2r = 4
                 &LaunchConfig::new(32, 4, 1, 1),
             );
-            assert!(
-                codes(&d).contains(&"LNT-R007"),
-                "{:?}: {d:?}",
-                routine.method()
-            );
+            assert!(codes(&d).contains(&"LNT-R007"), "{method:?}: {d:?}");
         }
     }
 

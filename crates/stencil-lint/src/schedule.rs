@@ -287,11 +287,7 @@ pub fn check_schedule(
     // S003: the lowered schedule must issue exactly the routine's
     // proven barrier count per plane, and the priced plan must declare
     // the same.
-    let proven = kernel
-        .method
-        .routine()
-        .skeleton(kernel.radius)
-        .barriers_per_plane;
+    let proven = kernel.method.skeleton(kernel.radius).barriers_per_plane;
     let barriers = lowered
         .ops
         .iter()
@@ -476,22 +472,18 @@ mod tests {
         for method in METHODS {
             let c = LaunchConfig::new(16, 4, 1, 2);
             let k = spec(method, 4);
-            let proven = method.routine().skeleton(k.radius).barriers_per_plane;
+            let proven = method.skeleton(k.radius).barriers_per_plane;
             let ops = lower_plane_schedule(&k, &c).ops;
             let barriers = ops.iter().filter(|o| matches!(o, Op::Barrier)).count();
             assert_eq!(barriers, proven, "{method:?}");
         }
         // The legacy five prove two; the double-buffered routine one.
         assert_eq!(
-            Method::ForwardPlane
-                .routine()
-                .skeleton(2)
-                .barriers_per_plane,
+            Method::ForwardPlane.skeleton(2).barriers_per_plane,
             StagePlan::BARRIERS_PER_PLANE
         );
         assert_eq!(
             Method::InPlane(Variant::DoubleBuffered)
-                .routine()
                 .skeleton(2)
                 .barriers_per_plane,
             1

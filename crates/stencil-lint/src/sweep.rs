@@ -142,7 +142,7 @@ pub fn lint_config_opts(
         if codegen_applicable(kernel, config) {
             let generated = generate_kernel(kernel, config);
             diagnostics.extend(lint_cuda(&generated, kernel, config, Some(device)));
-            if kernel.method.routine().opencl_supported() {
+            if kernel.method.opencl_supported() {
                 let src = generate_opencl_kernel(kernel, config);
                 diagnostics.extend(lint_opencl_source(&src, kernel, config, Some(device)));
             }
@@ -153,7 +153,7 @@ pub fn lint_config_opts(
                 diagnostics.extend(crate::verify::verify_cuda_kernel_on(
                     kernel, config, vdims, device,
                 ));
-                if kernel.method.routine().opencl_supported() {
+                if kernel.method.opencl_supported() {
                     diagnostics.extend(crate::verify::verify_opencl_kernel_on(
                         kernel, config, vdims, device,
                     ));
@@ -425,8 +425,7 @@ mod tests {
     fn quick_sweep_is_clean_for_every_method() {
         let dev = DeviceSpec::gtx580();
         let dims = GridDims::paper();
-        for routine in inplane_core::registry() {
-            let method = routine.method();
+        for method in Method::ALL {
             let k = kernel(method, 4);
             let configs = enumerate_configs_quick(&dev);
             let results = lint_configs(&dev, &k, &dims, &configs);

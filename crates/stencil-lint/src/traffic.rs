@@ -409,9 +409,8 @@ pub fn predict_kernel_traffic_on(
 ) -> KernelTraffic {
     let r = plan.radius as i64;
     let vw = vector_width(spec).max(1) as i64;
-    let routine = plan.method.routine();
-    let pattern = routine.load_pattern();
-    let interior_global = routine.skeleton(plan.radius).interior_source == StageSource::Global;
+    let pattern = plan.method.load_pattern();
+    let interior_global = plan.method.skeleton(plan.radius).interior_source == StageSource::Global;
     let (nx, ny, _) = plan.dims;
     let stride = padded_stride_on(nx, spec.elem_bytes, device);
     let mut walk = KernelWalk {

@@ -151,8 +151,7 @@ pub fn verify_kernel_source_on(
         return diags;
     }
 
-    let routine = spec.method.routine();
-    let sk = routine.skeleton(spec.radius);
+    let sk = spec.method.skeleton(spec.radius);
     let stride = padded_stride_on(dims.0, spec.elem_bytes, device) as i64;
     let (gx, gy) = ((nx - 2 * r) / wx, (ny - 2 * r) / wy);
     let env = LaunchEnv {
@@ -238,7 +237,6 @@ fn check_shapes(
     let smem_w = config.tile_x() as i64 + 2 * r + 2 * vw;
     let smem_h = config.tile_y() as i64 + 2 * r;
     let (rx, ry) = (config.rx as i64, config.ry as i64);
-    let routine = spec.method.routine();
 
     let mut expect_shared = |name: &str, dims: Vec<i64>| {
         let found = kernel
@@ -263,7 +261,7 @@ fn check_shapes(
             Some(_) => {}
         }
     };
-    if routine.staging_buffers() == 2 {
+    if spec.method.staging_buffers() == 2 {
         expect_shared("tile_pair", vec![2, smem_h, smem_w]);
     } else {
         expect_shared("tile", vec![smem_h, smem_w]);
@@ -286,7 +284,7 @@ fn check_shapes(
             Some(_) => {}
         }
     };
-    match routine.skeleton(spec.radius).compute {
+    match spec.method.skeleton(spec.radius).compute {
         ComputeShape::Direct => expect_local("pipe", vec![ry, rx, 2 * r + 1]),
         ComputeShape::Pipelined => {
             expect_local("zhist", vec![ry, rx, r]);
@@ -463,8 +461,7 @@ mod tests {
 
     #[test]
     fn generated_cuda_kernels_verify_clean() {
-        for routine in inplane_core::registry() {
-            let method = routine.method();
+        for method in Method::ALL {
             let spec = KernelSpec::star_order(method, 4, Precision::Single);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 1, 1);
@@ -490,8 +487,7 @@ mod tests {
         // the 64-byte segment geometry: kernels take stride/pstride as
         // runtime arguments, so only the abstract launch env changes.
         let hd7970 = gpu_sim::DeviceSpec::hd7970();
-        for routine in inplane_core::registry() {
-            let method = routine.method();
+        for method in Method::ALL {
             let spec = KernelSpec::star_order(method, 4, Precision::Single);
             let config = LaunchConfig::new(8, 2, 1, 2);
             let dims = dims_for(&spec, &config, 1, 1);

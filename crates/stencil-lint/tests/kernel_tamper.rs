@@ -213,7 +213,7 @@ proptest! {
         let r = spec.radius;
         let dims = (2 * r + config.tile_x(), 2 * r + config.tile_y(), 2 * r + 2);
 
-        let opencl = use_opencl && method.routine().opencl_supported();
+        let opencl = use_opencl && method.opencl_supported();
         let (source, name, anchors, barrier_stmt) = if opencl {
             let k = generate_opencl_kernel_full(&spec, &config);
             (k.source, k.name, k.anchors, OPENCL_BARRIER_STMT)

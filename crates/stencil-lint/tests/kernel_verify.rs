@@ -1,5 +1,5 @@
 //! Differential suite for the kernel verifier: the traffic oracle is
-//! proven **three ways** over the whole routine registry.
+//! proven **three ways** over every method in `Method::ALL`.
 //!
 //! 1. the plan-level oracle [`stencil_lint::predict_traffic_on`] predicts
 //!    the interpreter's counters from the op stream (pinned elsewhere);
@@ -17,7 +17,7 @@
 //! breaks one of the equalities below.
 
 use gpu_sim::DeviceSpec;
-use inplane_core::{registry, KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
 use stencil_grid::Precision;
 use stencil_lint::{
     predict_kernel_traffic_on, predict_traffic_on, verify_cuda_kernel_on, verify_opencl_kernel_on,
@@ -51,8 +51,7 @@ const SHAPES: [Shape; 3] = [
 
 #[test]
 fn every_routine_verifies_clean_on_both_precisions() {
-    for routine in registry() {
-        let method = routine.method();
+    for method in Method::ALL {
         for precision in [Precision::Single, Precision::Double] {
             let spec = KernelSpec::star_order(method, 4, precision);
             for ((tx, ty, rx, ry), (gx, gy)) in SHAPES {
@@ -64,7 +63,7 @@ fn every_routine_verifies_clean_on_both_precisions() {
                     "{method:?} {precision:?} {config} CUDA: {:?}",
                     d.iter().map(|x| x.render()).collect::<Vec<_>>()
                 );
-                if routine.opencl_supported() {
+                if method.opencl_supported() {
                     let d = verify_opencl_kernel_on(&spec, &config, dims, &DeviceSpec::gtx580());
                     assert!(
                         d.is_empty(),
@@ -111,8 +110,7 @@ fn kernel_oracle_agrees_with_plan_oracle_on_cells_and_stores() {
     // When the radius is not vector-aligned the emitted kernel stages
     // the vector-extended slab, so the AST-level figure is a superset
     // of the plan-level one — never smaller.
-    for routine in registry() {
-        let method = routine.method();
+    for method in Method::ALL {
         for precision in [Precision::Single, Precision::Double] {
             for order in [2usize, 4, 8] {
                 let spec = KernelSpec::star_order(method, order, precision);

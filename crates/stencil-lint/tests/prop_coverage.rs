@@ -48,7 +48,7 @@ proptest! {
         let (sy_s, sy_e) = geom.slab_y();
         let (ix_s, ix_e) = geom.interior_x();
         let (iy_s, iy_e) = geom.interior_y();
-        let stages_corners = method.routine().skeleton(radius).stages_corners;
+        let stages_corners = method.skeleton(radius).stages_corners;
 
         for y in sy_s..sy_e {
             for x in sx_s..sx_e {

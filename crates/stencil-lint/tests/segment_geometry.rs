@@ -3,7 +3,7 @@
 //! fingerprint, and coarsening the coalescing segment can only merge
 //! transactions, never split them.
 //!
-//! For every registered routine × SP/DP:
+//! For every method in `Method::ALL` × SP/DP:
 //!
 //! * the 64-byte-segment transaction count is **≥** the 128-byte
 //!   count, for the plan oracle and the kernel-side oracle alike (a
@@ -16,7 +16,7 @@
 //!   RTX 3090 with the GTX580's 128 bytes.
 
 use gpu_sim::DeviceSpec;
-use inplane_core::{interpret_plan, lower_step, KernelSpec, LaunchConfig};
+use inplane_core::{interpret_plan, lower_step, KernelSpec, LaunchConfig, Method};
 use stencil_grid::{FillPattern, Grid3, Precision, StarStencil};
 use stencil_lint::traffic::{predict_kernel_traffic_on, predict_traffic_on};
 
@@ -53,8 +53,7 @@ fn finer_segments_never_reduce_transactions_and_stats_stay_exact() {
     let gtx580 = DeviceSpec::gtx580();
     assert_eq!(hd7970.coalesce_segment_bytes, 64);
     assert_eq!(gtx580.coalesce_segment_bytes, 128);
-    for routine in inplane_core::registry() {
-        let method = routine.method();
+    for method in Method::ALL {
         for precision in [Precision::Single, Precision::Double] {
             for config in configs() {
                 let spec = KernelSpec::star_order(method, 4, precision);

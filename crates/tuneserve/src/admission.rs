@@ -26,7 +26,7 @@ use std::sync::atomic::Ordering;
 
 use conc_check::sync::{AtomicU64, AtomicUsize};
 
-use inplane_core::ProblemSpec;
+use inplane_core::{lower_blueprint, ProblemSpec};
 use stencil_lint::predict_traffic_on;
 use stencil_tunestore::TuneRequest;
 
@@ -229,7 +229,6 @@ pub const PROXY_INTERIOR_PLANES: usize = 3;
 pub fn predicted_search_micros(req: &TuneRequest) -> u64 {
     let (lx, ly, lz) = (req.dims.lx, req.dims.ly, req.dims.lz);
     let r = req.kernel.radius;
-    let routine = req.kernel.method.routine();
     let probe = req.space.configs()[0];
     let proxy_lz = lz.min(2 * r + PROXY_INTERIOR_PLANES);
     let problem = ProblemSpec {
@@ -239,10 +238,10 @@ pub fn predicted_search_micros(req: &TuneRequest) -> u64 {
         dims: (lx, ly, proxy_lz),
         smem_limit: Some(req.device.smem_per_sm),
     };
-    let per_config_bytes = match routine.supports(&problem) {
+    let per_config_bytes = match req.kernel.method.supports(&problem) {
         Ok(()) => {
-            let bp = routine.blueprint(&probe, r, (lx, ly, proxy_lz));
-            let plan = routine.lower(&bp);
+            let bp = req.kernel.method.blueprint(&probe, r, (lx, ly, proxy_lz));
+            let plan = lower_blueprint(&bp);
             let t = predict_traffic_on(&plan, req.kernel.precision(), &req.device);
             let proxy_bytes =
                 t.global_load_cells * t.word_bytes + t.store_bytes + t.halo_bytes + t.gather_bytes;

@@ -24,8 +24,7 @@
 //!   refusals (`SRV-001..003`);
 //! * [`server`] — [`TuneServer`]: LRU → store → share-in-flight →
 //!   admission → single-flight compute, plus deadline-aware
-//!   [`TuneServer::resolve_batch`] (in-batch key dedup) and
-//!   selector-aware [`TuneServer::resolve_selected`];
+//!   [`TuneServer::resolve_batch`] (in-batch key dedup);
 //! * [`mod@replay`] — the Zipfian traffic-replay bench: a devices ×
 //!   orders × grids × precisions key universe, Zipf-ranked popularity
 //!   with a duplicate-burstiness knob, multi-worker replay reporting

@@ -23,9 +23,9 @@ use std::time::Instant;
 
 use conc_check::sync::{AtomicU64, Mutex};
 
-use inplane_core::{EvalContext, RoutineDiag};
+use inplane_core::EvalContext;
 use rayon::prelude::*;
-use stencil_autotune::{Provenance, RoutineChoice, RoutineSelector};
+use stencil_autotune::Provenance;
 use stencil_tunestore::{
     ResolveTrace, ServiceStats, StoreStats, TuneKey, TuneRequest, TuneResponse, TuneService,
     TuneStore,
@@ -370,35 +370,5 @@ impl TuneServer {
                 }
             })
             .collect()
-    }
-
-    /// Run `selector` first, then resolve the request with its kernel
-    /// re-specified onto the chosen routine — the serving-layer mirror
-    /// of [`TuneService::resolve_selected`], so selector-aware callers
-    /// get the LRU/admission tiers too. Errors are the selector's
-    /// coded rejection.
-    ///
-    /// # Panics
-    /// Panics on an empty parameter space.
-    pub fn resolve_selected(
-        &self,
-        sreq: &ServeRequest,
-        selector: &RoutineSelector,
-    ) -> Result<(RoutineChoice, ServeOutcome), RoutineDiag> {
-        assert!(
-            !sreq.req.space.is_empty(),
-            "cannot tune over an empty parameter space"
-        );
-        let probe = sreq.req.space.configs()[0];
-        let (choice, kernel) =
-            selector.select_kernel(&sreq.req.device, &sreq.req.kernel, &sreq.req.dims, &probe)?;
-        let routed = ServeRequest {
-            req: TuneRequest {
-                kernel,
-                ..sreq.req.clone()
-            },
-            budget_micros: sreq.budget_micros,
-        };
-        Ok((choice, self.resolve(&routed)))
     }
 }

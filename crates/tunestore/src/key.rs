@@ -16,7 +16,7 @@
 //! matches the recomputed one).
 
 use gpu_sim::{fnv1a, fnv1a_bytes, fnv1a_word, DeviceSpec, GridDims, FNV_OFFSET_BASIS};
-use inplane_core::{KernelSpec, LaunchConfig, Method};
+use inplane_core::{KernelSpec, LaunchConfig};
 use stencil_autotune::{AnnealOptions, ParameterSpace};
 
 /// Version of the key layout and record schema. Bump whenever a hashed
@@ -103,20 +103,6 @@ impl TunerKind {
     }
 }
 
-/// Parse a [`Method`] back from its `label()` rendering by consulting
-/// the routine registry — new routines are parseable the day they are
-/// registered, with no table to maintain here.
-pub fn method_from_label(label: &str) -> Option<Method> {
-    inplane_core::routine_by_label(label).map(|rt| rt.method())
-}
-
-/// The stable routine id is the hashed method word. Ids are pinned by
-/// the registry (and by the `legacy_tune_key_hashes_are_pinned` test),
-/// so persisted keys survive the Routine migration byte-for-byte.
-fn method_code(method: Method) -> u64 {
-    method.routine().id()
-}
-
 /// Stable content-hash identity of one tuning problem.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneKey {
@@ -178,7 +164,9 @@ impl TuneKey {
         fnv1a_bytes(&mut h, kernel.name.as_bytes());
         let params = tuner.params();
         for w in [
-            method_code(kernel.method),
+            // The stable method id; pinned by
+            // `legacy_tune_key_hashes_are_pinned`.
+            kernel.method.id(),
             kernel.radius as u64,
             kernel.elem_bytes as u64,
             kernel.flops_per_point as u64,
@@ -222,7 +210,7 @@ impl TuneKey {
         let mut h = FNV_OFFSET_BASIS;
         fnv1a_bytes(&mut h, self.kernel.name.as_bytes());
         for w in [
-            method_code(self.kernel.method),
+            self.kernel.method.id(),
             self.kernel.radius as u64,
             self.kernel.elem_bytes as u64,
             self.kernel.flops_per_point as u64,
@@ -363,21 +351,6 @@ mod tests {
         assert!(b.is_sibling_of(&a));
         assert!(!a.is_sibling_of(&a), "a key is not its own sibling");
         assert!(!a.is_sibling_of(&c), "different kernels never match");
-    }
-
-    #[test]
-    fn method_labels_round_trip() {
-        for m in [
-            Method::ForwardPlane,
-            Method::InPlane(Variant::Classical),
-            Method::InPlane(Variant::Vertical),
-            Method::InPlane(Variant::Horizontal),
-            Method::InPlane(Variant::FullSlice),
-            Method::InPlane(Variant::DoubleBuffered),
-        ] {
-            assert_eq!(method_from_label(&m.label()), Some(m));
-        }
-        assert_eq!(method_from_label("warp-drive"), None);
     }
 
     /// The Routine migration must not invalidate persisted tunes: the

@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use gpu_sim::{fnv1a, GridDims};
-use inplane_core::{KernelSpec, LaunchConfig};
+use inplane_core::{KernelSpec, LaunchConfig, Method};
 
 use crate::json::{escape, parse_flat_object, Value};
-use crate::key::{method_from_label, TuneKey, TunerKind, SCHEMA_VERSION};
+use crate::key::{TuneKey, TunerKind, SCHEMA_VERSION};
 
 /// A tuning result bound to its [`TuneKey`].
 #[derive(Clone, Debug, PartialEq)]
@@ -152,7 +152,10 @@ impl TuneRecord {
         if rest.len() < 16 {
             return Err(RecordError::Malformed("truncated before checksum"));
         }
-        let (crc_hex, rest) = rest.split_at(16);
+        // Byte 16 need not be a char boundary on a damaged line.
+        let (crc_hex, rest) = rest
+            .split_at_checked(16)
+            .ok_or(RecordError::Malformed("bad crc hex"))?;
         let stored_crc =
             u64::from_str_radix(crc_hex, 16).map_err(|_| RecordError::Malformed("bad crc hex"))?;
         let rest = rest
@@ -175,7 +178,7 @@ impl TuneRecord {
             return Err(RecordError::StaleSchema(version));
         }
 
-        let method = method_from_label(get_str(&map, "method")?)
+        let method = Method::from_label(get_str(&map, "method")?)
             .ok_or(RecordError::Malformed("unknown method label"))?;
         let kernel = KernelSpec {
             name: get_str(&map, "kernel")?.to_string(),

@@ -27,12 +27,11 @@ use std::sync::Arc;
 use conc_check::region;
 use conc_check::sync::AtomicU64;
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::RoutineDiag;
 use inplane_core::{EvalContext, KernelSpec, LaunchConfig};
 use rayon::prelude::*;
 use stencil_autotune::{
     exhaustive_tune_with, model_based_tune_seeded_with, stochastic_tune_with, AnnealOptions,
-    ParameterSpace, Provenance, RoutineChoice, RoutineSelector, TuneOutcome, TuneSample,
+    ParameterSpace, Provenance, TuneOutcome, TuneSample,
 };
 
 use crate::key::{TuneKey, TunerKind};
@@ -378,33 +377,6 @@ impl TuneService {
                 by_slot[&c].clone()
             })
             .collect()
-    }
-
-    /// Run `selector` first, then resolve the request with its kernel
-    /// re-specified onto the chosen routine. The persisted key hashes
-    /// the *selected* method, so an `Auto` choice that changes over
-    /// time never shadows a differently-routed record. Errors are the
-    /// selector's coded rejection.
-    ///
-    /// # Panics
-    /// Panics on an empty space or a non-positive β.
-    pub fn resolve_selected(
-        &self,
-        req: &TuneRequest,
-        selector: &RoutineSelector,
-    ) -> Result<(RoutineChoice, TuneResponse), RoutineDiag> {
-        assert!(
-            !req.space.is_empty(),
-            "cannot tune over an empty parameter space"
-        );
-        let probe = req.space.configs()[0];
-        let (choice, kernel) =
-            selector.select_kernel(&req.device, &req.kernel, &req.dims, &probe)?;
-        let routed = TuneRequest {
-            kernel,
-            ..req.clone()
-        };
-        Ok((choice, self.resolve(&routed)))
     }
 
     fn compute(&self, key: &TuneKey, req: &TuneRequest) -> TuneResponse {

@@ -161,10 +161,11 @@ pub struct JsonlDiskStore {
 impl JsonlDiskStore {
     /// Open (or create) the store at `path`, loading every live record.
     ///
-    /// Unreadable *content* never fails the open — corrupt and stale
-    /// lines are counted and skipped, and later lines win over earlier
-    /// ones for the same key. Only a filesystem-level error on an
-    /// existing file (e.g. permissions) is returned.
+    /// Unreadable *content* never fails the open — corrupt (including
+    /// non-UTF-8) and stale lines are counted and skipped, and later
+    /// lines win over earlier ones for the same key. Only a
+    /// filesystem-level error on an existing file (e.g. permissions) is
+    /// returned.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
         let path = path.into();
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
@@ -177,14 +178,20 @@ impl JsonlDiskStore {
             counters: Counters::default(),
             disk_lines: AtomicU64::new_named(0, "diskstore.disk_lines"),
         };
-        let text = match std::fs::read_to_string(&store.path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let bytes = match std::fs::read(&store.path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
         let mut map = HashMap::new();
         let mut lines = 0u64;
-        for line in text.lines() {
+        for raw in bytes.split(|&b| b == b'\n') {
+            let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
+            let Ok(line) = std::str::from_utf8(raw) else {
+                lines += 1;
+                store.counters.corrupt.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
             if line.trim().is_empty() {
                 continue;
             }

@@ -176,12 +176,18 @@ fn garbage_and_blank_lines_never_panic() {
         let store = JsonlDiskStore::open(&path).unwrap();
         store.put(&a);
     }
-    let mut text = std::fs::read_to_string(&path).unwrap();
-    text.push_str("\nnot json\n\n{\"crc\":\"zz\"}\n{}\n");
-    std::fs::write(&path, text).unwrap();
+    // A checksum field whose 16th byte falls inside a multi-byte char.
+    let split_char = format!("{{\"crc\":\"a{}", "é".repeat(8));
+    assert!(TuneRecord::from_jsonl(&split_char).is_err());
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(b"\nnot json\n\n{\"crc\":\"zz\"}\n{}\n");
+    bytes.extend_from_slice(split_char.as_bytes());
+    // A line that is not UTF-8 at all.
+    bytes.extend_from_slice(b"\n{\"crc\":\"\xff\xfe\x80\"}\n");
+    std::fs::write(&path, bytes).unwrap();
     let store = JsonlDiskStore::open(&path).unwrap();
     assert_eq!(store.len(), 1);
-    assert_eq!(store.stats().corrupt, 3, "blank lines are not counted");
+    assert_eq!(store.stats().corrupt, 5, "blank lines are not counted");
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
