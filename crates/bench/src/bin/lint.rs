@@ -48,15 +48,17 @@ struct Args {
 }
 
 fn usage() -> ! {
+    let devices: Vec<&str> = DeviceSpec::preset_keys().collect();
     eprintln!(
-        "usage: lint [--device gtx580|gtx680|c2070|hd7970|rtx3090|all]\n\
+        "usage: lint [--device {}|all]\n\
          \x20           [--kernel laplacian|poisson|hyperthermia|upstream|all]\n\
          \x20           [--precision sp|dp] [--json] [--quick] [--verify-kernels]\n\
          Sweeps the full (TX, TY, RX, RY) tuning grid for every method variant and\n\
          reports coded diagnostics. Exits non-zero when a feasible configuration\n\
          carries an error-severity diagnostic or a rejection is unexplained.\n\
          --verify-kernels additionally proves the emitted CUDA/OpenCL source by\n\
-         abstract interpretation (LNT-K diagnostics)."
+         abstract interpretation (LNT-K diagnostics).",
+        devices.join("|")
     );
     std::process::exit(2)
 }
@@ -76,13 +78,8 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--device" => {
                 args.devices = match val().as_str() {
-                    "gtx580" => vec![DeviceSpec::gtx580()],
-                    "gtx680" => vec![DeviceSpec::gtx680()],
-                    "c2070" => vec![DeviceSpec::c2070()],
-                    "hd7970" => vec![DeviceSpec::hd7970()],
-                    "rtx3090" => vec![DeviceSpec::rtx3090()],
-                    "all" => DeviceSpec::all_devices().to_vec(),
-                    _ => usage(),
+                    "all" => DeviceSpec::all_devices(),
+                    key => vec![DeviceSpec::by_key(key).unwrap_or_else(|| usage())],
                 }
             }
             "--kernel" => {

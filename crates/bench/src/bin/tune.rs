@@ -53,9 +53,10 @@ fn parse_method(s: &str) -> Option<Method> {
 }
 
 fn usage() -> ! {
+    let devices: Vec<&str> = DeviceSpec::preset_keys().collect();
     let methods: Vec<String> = Method::ALL.into_iter().map(method_arg).collect();
     eprintln!(
-        "usage: tune [--device gtx580|gtx680|c2070] [--order N] [--precision sp|dp]\n\
+        "usage: tune [--device {}] [--order N] [--precision sp|dp]\n\
          \x20           [--method {}]\n\
          \x20           [--beta PCT] [--lx N --ly N --lz N] [--seed N] [--store PATH]\n\
          --order is an even stencil order in 2..=65536; the grid extents are in\n\
@@ -64,6 +65,7 @@ fn usage() -> ! {
          PCT > 0); without it the search is exhaustive.\n\
          --store (or INPLANE_TUNE_STORE) persists results; a repeated run is\n\
          served from disk bit-identically without re-searching.",
+        devices.join("|"),
         methods.join("|")
     );
     std::process::exit(2)
@@ -85,14 +87,7 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--device" => {
-                args.device = match val().as_str() {
-                    "gtx580" => DeviceSpec::gtx580(),
-                    "gtx680" => DeviceSpec::gtx680(),
-                    "c2070" => DeviceSpec::c2070(),
-                    _ => usage(),
-                }
-            }
+            "--device" => args.device = DeviceSpec::by_key(&val()).unwrap_or_else(|| usage()),
             "--order" => args.order = val().parse().unwrap_or_else(|_| usage()),
             "--precision" => {
                 args.precision = match val().as_str() {

@@ -69,3 +69,21 @@ fn every_method_label_is_selectable() {
         assert!(stdout.contains("optimal:"), "{arg}: {stdout}");
     }
 }
+
+#[test]
+fn every_registered_device_is_selectable() {
+    for (key, name) in [
+        ("hd7970", "Radeon HD 7970"),
+        ("rtx3090", "GeForce RTX 3090"),
+    ] {
+        let out = run_tune(&["--device", key, "--lx", "64", "--ly", "64", "--lz", "32"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{key}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains(name), "{key}: {stdout}");
+    }
+}

@@ -148,6 +148,19 @@ pub struct DeviceSpec {
     pub l1_dup_charge: f64,
 }
 
+/// A device preset: its command-line key and its constructor.
+type Preset = (&'static str, fn() -> DeviceSpec);
+
+/// The registered presets, in table order: the one list
+/// [`DeviceSpec::all_devices`] and [`DeviceSpec::by_key`] read.
+const PRESETS: [Preset; 5] = [
+    ("gtx580", DeviceSpec::gtx580),
+    ("gtx680", DeviceSpec::gtx680),
+    ("c2070", DeviceSpec::c2070),
+    ("hd7970", DeviceSpec::hd7970),
+    ("rtx3090", DeviceSpec::rtx3090),
+];
+
 impl DeviceSpec {
     /// GeForce GTX580 (Fermi GF110): 16 SM × 32 cores, 1544 MHz shader
     /// clock, 192.4 GB/s pin bandwidth, measured 161 GB/s.
@@ -322,13 +335,21 @@ impl DeviceSpec {
     /// cross-vendor presets (wave64 GCN, modern NVIDIA). Sweep suites
     /// and the per-vendor figure binary iterate this list.
     pub fn all_devices() -> Vec<DeviceSpec> {
-        vec![
-            Self::gtx580(),
-            Self::gtx680(),
-            Self::c2070(),
-            Self::hd7970(),
-            Self::rtx3090(),
-        ]
+        PRESETS.iter().map(|(_, preset)| preset()).collect()
+    }
+
+    /// The command-line keys of [`Self::all_devices`], in the same order
+    /// (`gtx580`, `gtx680`, `c2070`, `hd7970`, `rtx3090`).
+    pub fn preset_keys() -> impl Iterator<Item = &'static str> {
+        PRESETS.iter().map(|(key, _)| *key)
+    }
+
+    /// The registered device whose command-line key is `key`.
+    pub fn by_key(key: &str) -> Option<DeviceSpec> {
+        PRESETS
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, preset)| preset())
     }
 
     /// Half the SIMT execution width — the §IV-C `TX` enumeration step
@@ -605,6 +626,16 @@ mod tests {
         assert_eq!(d.vendor(), "nvidia");
         // GA102 peak SP: 82 SM x 128 lanes x 2 x 1695 MHz = 35581 GFlop/s.
         assert!((d.peak_sp_flops() / 1e9 - 35581.4).abs() < 2.0);
+    }
+
+    #[test]
+    fn every_key_names_its_preset() {
+        let keys: Vec<&str> = DeviceSpec::preset_keys().collect();
+        assert_eq!(keys, ["gtx580", "gtx680", "c2070", "hd7970", "rtx3090"]);
+        for (key, device) in keys.iter().zip(DeviceSpec::all_devices()) {
+            assert_eq!(DeviceSpec::by_key(key), Some(device));
+        }
+        assert_eq!(DeviceSpec::by_key("gtx9000"), None);
     }
 
     #[test]

@@ -4,8 +4,13 @@
 //! index expressions over thread/block builtins, fixed-shape local and
 //! shared arrays, counted `for` loops, guarded `if`s, barriers, vector
 //! loads with explicit lane stores, and the double-buffer tile alias.
-//! Identifiers are interned ([`Sym`]) so the evaluator's variable
-//! lookups compare integers, not strings.
+//! Identifiers are interned ([`Sym`]).
+//!
+//! Below the AST sits the *resolved program* the interpreter runs: the
+//! same statement tree with every name already bound to its storage —
+//! a frame slot, a local-array id, a shared region or a global buffer
+//! (see `Program`). The parser builds it once per kernel, so a thread
+//! never looks a name up while it runs.
 
 use super::lexer::Pos;
 use std::collections::HashMap;
@@ -96,8 +101,8 @@ pub enum Base {
     GlobalOut,
     /// The coefficient array (`c_coeff` / `coeff`).
     Coeff,
-    /// A named local/shared array, pointer, or alias resolved at
-    /// evaluation time.
+    /// A named local/shared array, pointer, or alias, bound to its
+    /// storage by name resolution after parsing.
     Named(Sym),
 }
 
@@ -289,4 +294,198 @@ pub struct Kernel {
     /// Per-thread local array declarations, collected for shape checks
     /// (name → dims), in declaration order.
     pub local_arrays: Vec<(Sym, Vec<i64>)>,
+    /// `body` with every name resolved — what the interpreter runs.
+    pub(crate) program: Program,
+}
+
+// ---- the resolved program -------------------------------------------
+
+/// Largest extent, in elements, of one per-thread local array and of a
+/// block's whole shared address space. Larger declarations are reported
+/// as implausible (`LNT-K006`) instead of being allocated.
+pub(crate) const MAX_ARRAY_EXTENT: i64 = 1 << 20;
+
+/// A frame slot: where one declared scalar, loop variable, pointer or
+/// view lives while a thread runs.
+pub(crate) type Slot = u32;
+
+/// A scalar name after resolution.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Name {
+    /// Bound to the innermost declaration in scope.
+    Slot(Slot),
+    /// Bound to nothing; raises `unknown variable` when executed.
+    Unbound(Sym),
+}
+
+/// An indexed base after resolution.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Mem {
+    /// The streamed input buffer `in`.
+    GlobalIn,
+    /// The output buffer `out`.
+    GlobalOut,
+    /// The coefficient array.
+    Coeff,
+    /// A pointer or view in scope (any other value fails to index).
+    Scoped(Slot),
+    /// No scope value of this name: the thread's local array when one
+    /// has been declared so far (local arrays outlive their block),
+    /// else the shared region, else `unknown array`.
+    Array {
+        /// The name, for messages.
+        sym: Sym,
+        /// Local-array id, when the kernel declares one of this name.
+        local: Option<u32>,
+        /// Shared region, when the kernel declares one of this name.
+        region: Option<u32>,
+    },
+}
+
+/// The base of `T* p = &base[…];` after resolution.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PtrBase {
+    /// A view in scope (any other value is an error).
+    Scoped(Slot),
+    /// A shared region.
+    Region {
+        /// Region index.
+        region: u32,
+        /// Its name, for messages.
+        sym: Sym,
+    },
+    /// Neither; raises `unknown shared array` when executed.
+    Unbound(Sym),
+}
+
+/// A resolved expression; mirrors [`Expr`].
+#[derive(Clone, Debug)]
+pub(crate) enum RExpr {
+    Num(i64),
+    Var(Name),
+    Builtin(Builtin),
+    Bin(BinOp, Box<RExpr>, Box<RExpr>),
+    Neg(Box<RExpr>),
+    Index {
+        mem: Mem,
+        indices: Box<[RExpr]>,
+        pos: Pos,
+    },
+    VecLoad {
+        index: Box<RExpr>,
+        lanes: u8,
+        pos: Pos,
+    },
+    Lane {
+        var: Name,
+        lane: u8,
+    },
+    CastInt(Box<RExpr>),
+    CastData(Box<RExpr>),
+}
+
+/// A resolved assignment target; mirrors [`LValue`].
+#[derive(Clone, Debug)]
+pub(crate) enum RLValue {
+    Var(Name),
+    Index { mem: Mem, indices: Box<[RExpr]> },
+}
+
+/// A resolved loop step; mirrors [`Step`].
+#[derive(Clone, Debug)]
+pub(crate) enum RStep {
+    Inc,
+    Dec,
+    AddAssign(RExpr),
+}
+
+/// A resolved statement; mirrors [`Stmt`].
+#[derive(Clone, Debug)]
+pub(crate) enum RStmt {
+    DeclScalar {
+        slot: Slot,
+        init: RExpr,
+    },
+    DeclArray {
+        /// Local-array id of the name.
+        local: u32,
+        name: Sym,
+        dims: Box<[i64]>,
+        /// Product of `dims`; `None` when it overflows `i64`.
+        extent: Option<i64>,
+    },
+    DeclPtr {
+        slot: Slot,
+        base: PtrBase,
+        indices: Box<[RExpr]>,
+        pos: Pos,
+    },
+    DeclAlias {
+        slot: Slot,
+        /// The pair array's name, for messages.
+        base: Sym,
+        /// The pair array's region, when it is one.
+        region: Option<u32>,
+        index: RExpr,
+        row_len: i64,
+        pos: Pos,
+    },
+    Assign {
+        lhs: RLValue,
+        op: AssignOp,
+        rhs: RExpr,
+        pos: Pos,
+    },
+    If {
+        cond: RExpr,
+        body: Box<[RStmt]>,
+    },
+    For {
+        slot: Slot,
+        init: RExpr,
+        cond: RExpr,
+        step: RStep,
+        body: Box<[RStmt]>,
+    },
+    Barrier {
+        pos: Pos,
+    },
+    Nop,
+}
+
+/// One shared array laid out in the block's flat shared address space.
+#[derive(Clone, Debug)]
+pub(crate) struct Region {
+    /// First flat address.
+    pub base: i64,
+    /// Declared dimensions.
+    pub dims: Box<[i64]>,
+}
+
+/// A shared declaration whose extent cannot be laid out.
+#[derive(Clone, Debug)]
+pub(crate) struct ImplausibleShared {
+    /// Position of the offending declaration.
+    pub pos: Pos,
+    /// What is wrong with it.
+    pub detail: String,
+}
+
+/// A kernel body with every name bound to its storage, plus the flat
+/// layout of the storage itself.
+#[derive(Clone, Debug)]
+pub(crate) struct Program {
+    /// The resolved statements.
+    pub body: Box<[RStmt]>,
+    /// The name declared into each frame slot, for messages.
+    pub slot_names: Box<[Sym]>,
+    /// Slots of the scalar kernel arguments (`interp::PARAMS`), when
+    /// the kernel names them.
+    pub params: [Option<Slot>; 5],
+    /// Distinct local-array names.
+    pub locals: usize,
+    /// Shared regions in declaration order, and the size of the flat
+    /// shared address space they span — or the declaration that makes
+    /// the layout implausible.
+    pub shared: Result<(Box<[Region]>, i64), ImplausibleShared>,
 }

@@ -1,4 +1,4 @@
-//! Concrete per-thread evaluator for the kernel AST.
+//! Concrete per-thread evaluator for the kernel's resolved program.
 //!
 //! Every thread of one block is executed to completion, in thread-id
 //! order, against a concrete launch geometry. Index values are plain
@@ -14,10 +14,21 @@
 //! through the per-thread pipeline), so thread order cannot change any
 //! address or any written provenance. The verifier's race check (K004)
 //! is exactly the condition under which this independence holds.
+//!
+//! The evaluator runs the `Program` the parser resolved, so no name
+//! is looked up while a thread runs, and its state is flat: a thread's
+//! scalars, pointers and views sit in a frame of slots, all its local
+//! arrays in one `Vec<u64>`, and subscripts are evaluated into a
+//! fixed-size buffer. The block's shared memory is one dense array of
+//! race cells per barrier phase over the laid-out shared address space.
+//! Names are formatted only when a violation or an error is recorded.
 
-use super::ast::{AssignOp, Base, BinOp, Builtin, Expr, Kernel, LValue, Step, Stmt, Sym};
+use super::ast::{
+    AssignOp, BinOp, Builtin, Kernel, Mem, Name, Program, PtrBase, RExpr, RLValue, RStep, RStmt,
+    Region, Sym, SymTab, MAX_ARRAY_EXTENT,
+};
 use super::lexer::Pos;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Concrete launch geometry and buffer shape for one verification run.
 #[derive(Clone, Copy, Debug)]
@@ -55,7 +66,7 @@ pub struct GlobalAccess {
 }
 
 /// What went wrong, mapped to an `LNT-K…` code by the verifier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ViolationKind {
     /// Shared-memory access out of bounds (K001).
     SharedOob,
@@ -69,8 +80,9 @@ pub enum ViolationKind {
     BarrierDivergence,
     /// Conflicting same-phase shared-memory accesses (K004).
     SharedRace,
-    /// The AST could not be evaluated — a construct outside the
-    /// verified subset was reached dynamically (K006).
+    /// The program could not be evaluated — a construct outside the
+    /// verified subset was reached dynamically, or a declared extent is
+    /// implausible (K006).
     Eval,
     /// Per-thread statement budget exhausted (K006).
     Budget,
@@ -146,21 +158,83 @@ enum Val {
     },
 }
 
-struct LocalArr {
-    dims: Vec<i64>,
-    data: Vec<u64>,
+/// A declared local array: its cells in the thread's local store and
+/// its declared dims.
+#[derive(Clone, Copy)]
+struct LocalArr<'p> {
+    off: usize,
+    len: usize,
+    /// Cells reserved at `off`; a redeclaration that fits reuses them.
+    cap: usize,
+    dims: &'p [i64],
 }
 
-struct RegionInfo {
-    base: i64,
-    dims: Vec<i64>,
-    extent: i64,
-}
+/// No thread: the cell has not been written (or read) in its phase.
+const NO_THREAD: u32 = u32::MAX;
 
-#[derive(Default)]
+/// Race bookkeeping of one shared cell in one barrier phase.
+#[derive(Clone, Copy)]
 struct Cell {
-    write: Option<(u64, u32)>,
-    read: Option<u32>,
+    /// Provenance of the last write.
+    prov: u64,
+    /// Thread of the last write.
+    writer: u32,
+    /// First thread to read the cell.
+    reader: u32,
+}
+
+impl Cell {
+    const EMPTY: Cell = Cell {
+        prov: 0,
+        writer: NO_THREAD,
+        reader: NO_THREAD,
+    };
+}
+
+/// Cells of dense phase blocks kept at most — the bound on one declared
+/// array, so no declaration can make the store grow without limit.
+const MAX_DENSE_CELLS: usize = MAX_ARRAY_EXTENT as usize;
+/// `SharedCells::blocks` entry of a phase not touched yet.
+const UNTOUCHED: u32 = u32::MAX;
+/// `SharedCells::blocks` entry of a phase kept in the sparse map.
+const SPARSE: u32 = u32::MAX - 1;
+
+/// The block's shared-memory race cells, per barrier phase.
+struct SharedCells {
+    /// Size of the laid-out shared address space.
+    extent: usize,
+    /// Per phase, its block of `extent` cells in `dense`.
+    blocks: Vec<u32>,
+    dense: Vec<Cell>,
+    /// Cells no dense block holds: addresses outside the laid-out space
+    /// (formed by broken pointers or views) and phases past the dense
+    /// budget (runaway barrier loops).
+    sparse: BTreeMap<(u32, i64), Cell>,
+}
+
+impl SharedCells {
+    fn cell(&mut self, phase: u32, addr: i64) -> &mut Cell {
+        if addr >= 0 && (addr as usize) < self.extent {
+            let p = phase as usize;
+            if p >= self.blocks.len() {
+                self.blocks.resize(p + 1, UNTOUCHED);
+            }
+            if self.blocks[p] == UNTOUCHED {
+                let used = self.dense.len();
+                self.blocks[p] = if used + self.extent <= MAX_DENSE_CELLS {
+                    self.dense.resize(used + self.extent, Cell::EMPTY);
+                    (used / self.extent) as u32
+                } else {
+                    SPARSE
+                };
+            }
+            let block = self.blocks[p];
+            if block != SPARSE {
+                return &mut self.dense[block as usize * self.extent + addr as usize];
+            }
+        }
+        self.sparse.entry((phase, addr)).or_insert(Cell::EMPTY)
+    }
 }
 
 struct ExecError {
@@ -173,36 +247,99 @@ fn ee(msg: impl Into<String>) -> ExecError {
 
 type EResult<T> = Result<T, ExecError>;
 
-struct Thread {
+/// Subscripts evaluated into a fixed-size buffer; a list longer than
+/// the buffer (never emitted) spills to the heap.
+struct Subs {
+    inline: [i64; 4],
+    len: usize,
+    spill: Vec<i64>,
+}
+
+impl Subs {
+    fn new() -> Self {
+        Subs {
+            inline: [0; 4],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, v: i64) {
+        let n = self.inline.len();
+        if self.len < n {
+            self.inline[self.len] = v;
+        } else {
+            if self.len == n {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(v);
+        }
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[i64] {
+        if self.len <= self.inline.len() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+/// One thread's state, reused from thread to thread.
+struct Thread<'p> {
     id: u32,
-    scopes: Vec<HashMap<Sym, Val>>,
-    locals: HashMap<Sym, LocalArr>,
+    /// Scalars, loop variables, pointers and views, by slot.
+    frame: Vec<Val>,
+    /// Local arrays by id, once declared. They stay visible to the end
+    /// of the thread, whichever block declared them.
+    locals: Vec<Option<LocalArr<'p>>>,
+    /// The cells of every local array.
+    store: Vec<u64>,
     phase: u32,
     trace: Vec<Pos>,
     steps: u64,
     cur_pos: Pos,
 }
 
-struct Interp<'k> {
-    k: &'k Kernel,
+impl Thread<'_> {
+    fn reset(&mut self, id: u32) {
+        self.id = id;
+        self.frame.fill(Val::Int(0));
+        self.locals.fill(None);
+        self.store.clear();
+        self.phase = 0;
+        self.trace.clear();
+        self.steps = 0;
+        self.cur_pos = Pos { line: 1, col: 1 };
+    }
+}
+
+struct Interp<'p> {
+    p: &'p Program,
+    syms: &'p SymTab,
+    regions: &'p [Region],
     env: LaunchEnv,
     bx: i64,
     by: i64,
-    regions: HashMap<Sym, RegionInfo>,
-    shared: HashMap<(u32, i64), Cell>,
+    shared: SharedCells,
     ev: BlockEvents,
-    seen: HashSet<(ViolationKind, Pos)>,
+    seen: BTreeSet<(ViolationKind, Pos)>,
     buf_len: i64,
     coeff_len: i64,
 }
 
-impl Interp<'_> {
-    fn violate(&mut self, kind: ViolationKind, pos: Pos, detail: String) {
+impl<'p> Interp<'p> {
+    fn violate(&mut self, kind: ViolationKind, pos: Pos, detail: impl FnOnce() -> String) {
         if self.ev.violations.len() >= MAX_VIOLATIONS {
             return;
         }
         if self.seen.insert((kind, pos)) {
-            self.ev.violations.push(Violation { kind, pos, detail });
+            self.ev.violations.push(Violation {
+                kind,
+                pos,
+                detail: detail(),
+            });
         }
     }
 
@@ -210,92 +347,109 @@ impl Interp<'_> {
         v.clamp(0, hi.max(1) - 1)
     }
 
+    fn slot_name(&self, slot: u32) -> &'p str {
+        self.syms.name(self.p.slot_names[slot as usize])
+    }
+
     /// Per-dimension bounds check; returns the clamped flat offset.
     fn checked_flat(
         &mut self,
         kind: ViolationKind,
-        name: &str,
+        sym: Sym,
         idx: &[i64],
         dims: &[i64],
         pos: Pos,
     ) -> i64 {
+        let syms = self.syms;
         let mut flat = 0i64;
         if idx.len() != dims.len() {
-            self.violate(
-                kind,
-                pos,
-                format!("{name}: {} subscripts for {} dims", idx.len(), dims.len()),
-            );
+            self.violate(kind, pos, || {
+                format!(
+                    "{}: {} subscripts for {} dims",
+                    syms.name(sym),
+                    idx.len(),
+                    dims.len()
+                )
+            });
         }
-        for (d, dim) in dims.iter().enumerate() {
+        for (d, &dim) in dims.iter().enumerate() {
             let i = idx.get(d).copied().unwrap_or(0);
-            if i < 0 || i >= *dim {
-                self.violate(
-                    kind,
-                    pos,
-                    format!("{name}[…]: index {i} outside [0, {dim}) in dim {d}"),
-                );
+            if i < 0 || i >= dim {
+                self.violate(kind, pos, || {
+                    format!(
+                        "{}[…]: index {i} outside [0, {dim}) in dim {d}",
+                        syms.name(sym)
+                    )
+                });
             }
-            flat = flat * dim + Self::clamp(i, *dim);
+            flat = flat.wrapping_mul(dim).wrapping_add(Self::clamp(i, dim));
         }
         flat
     }
 
+    /// The store index of `a[idx…]`, with bounds checks.
+    fn local_cell(&mut self, a: LocalArr<'p>, sym: Sym, idx: &[i64], pos: Pos) -> usize {
+        let flat = self.checked_flat(ViolationKind::LocalOob, sym, idx, a.dims, pos);
+        // Only dims of mixed sign can carry the clamped offset outside.
+        a.off + flat.clamp(0, a.len as i64 - 1) as usize
+    }
+
+    /// The flat shared address of `region[idx…]`, with bounds checks.
+    fn region_addr(&mut self, region: u32, sym: Sym, idx: &[i64], pos: Pos) -> i64 {
+        let r = &self.regions[region as usize];
+        let flat = self.checked_flat(ViolationKind::SharedOob, sym, idx, &r.dims, pos);
+        r.base.wrapping_add(flat)
+    }
+
     fn shared_read(&mut self, t: &Thread, addr: i64, pos: Pos) -> u64 {
-        let cell = self.shared.entry((t.phase, addr)).or_default();
-        let mut race = None;
-        if let Some((_, wt)) = cell.write {
-            if wt != t.id {
-                race = Some(format!(
-                    "thread {} reads a cell thread {wt} writes in the same barrier phase",
-                    t.id
-                ));
-            }
+        let cell = self.shared.cell(t.phase, addr);
+        let writer = cell.writer;
+        if cell.reader == NO_THREAD {
+            cell.reader = t.id;
         }
-        if cell.read.is_none() {
-            cell.read = Some(t.id);
-        }
-        if let Some(detail) = race {
-            self.violate(ViolationKind::SharedRace, pos, detail);
+        if writer != NO_THREAD && writer != t.id {
+            let id = t.id;
+            self.violate(ViolationKind::SharedRace, pos, || {
+                format!("thread {id} reads a cell thread {writer} writes in the same barrier phase")
+            });
         }
         mix3(TAG_SHARED, addr as u64, t.phase as u64)
     }
 
     fn shared_write(&mut self, t: &Thread, addr: i64, prov: u64, pos: Pos) {
-        let cell = self.shared.entry((t.phase, addr)).or_default();
+        let cell = self.shared.cell(t.phase, addr);
+        let id = t.id;
+        // A read-write conflict outranks a write-write one.
         let mut race = None;
-        if let Some((p0, w0)) = cell.write {
-            if p0 != prov {
-                race = Some(format!(
-                    "threads {w0} and {} write different values to one cell in one barrier phase",
-                    t.id
-                ));
-            }
+        if cell.writer != NO_THREAD && cell.prov != prov {
+            race = Some((cell.writer, false));
         }
-        if let Some(rt) = cell.read {
-            if rt != t.id {
-                race = Some(format!(
-                    "thread {} writes a cell thread {rt} reads in the same barrier phase",
-                    t.id
-                ));
-            }
+        if cell.reader != NO_THREAD && cell.reader != id {
+            race = Some((cell.reader, true));
         }
-        cell.write = Some((prov, t.id));
-        if let Some(detail) = race {
-            self.violate(ViolationKind::SharedRace, pos, detail);
+        cell.prov = prov;
+        cell.writer = id;
+        if let Some((other, reads)) = race {
+            self.violate(ViolationKind::SharedRace, pos, || {
+                if reads {
+                    format!(
+                        "thread {id} writes a cell thread {other} reads in the same barrier phase"
+                    )
+                } else {
+                    format!(
+                        "threads {other} and {id} write different values to one cell in one barrier phase"
+                    )
+                }
+            });
         }
     }
 
     fn global_load(&mut self, addr: i64, len: u8, pos: Pos) -> u64 {
-        if addr < 0 || addr + (len as i64) > self.buf_len {
-            self.violate(
-                ViolationKind::GlobalOob,
-                pos,
-                format!(
-                    "load of {len} element(s) at {addr} outside buffer of {} elements",
-                    self.buf_len
-                ),
-            );
+        let buf_len = self.buf_len;
+        if addr < 0 || addr.checked_add(len as i64).is_none_or(|end| end > buf_len) {
+            self.violate(ViolationKind::GlobalOob, pos, || {
+                format!("load of {len} element(s) at {addr} outside buffer of {buf_len} elements")
+            });
             return mix(TAG_GLOBAL, u64::MAX);
         }
         self.ev.loads.push(GlobalAccess { pos, addr, len });
@@ -303,35 +457,40 @@ impl Interp<'_> {
     }
 
     fn global_store(&mut self, addr: i64, pos: Pos) {
-        if addr < 0 || addr >= self.buf_len {
-            self.violate(
-                ViolationKind::GlobalOob,
-                pos,
-                format!(
-                    "store at {addr} outside buffer of {} elements",
-                    self.buf_len
-                ),
-            );
+        let buf_len = self.buf_len;
+        if addr < 0 || addr >= buf_len {
+            self.violate(ViolationKind::GlobalOob, pos, || {
+                format!("store at {addr} outside buffer of {buf_len} elements")
+            });
             return;
         }
         self.ev.stores.push(GlobalAccess { pos, addr, len: 1 });
     }
 
     fn coeff_read(&mut self, idx: i64, pos: Pos) -> u64 {
-        if idx < 0 || idx >= self.coeff_len {
-            self.violate(
-                ViolationKind::LocalOob,
-                pos,
-                format!("coeff[{idx}] outside [0, {})", self.coeff_len),
-            );
+        let coeff_len = self.coeff_len;
+        if idx < 0 || idx >= coeff_len {
+            self.violate(ViolationKind::LocalOob, pos, || {
+                format!("coeff[{idx}] outside [0, {coeff_len})")
+            });
         }
-        mix(TAG_COEFF, Self::clamp(idx, self.coeff_len) as u64)
+        mix(TAG_COEFF, Self::clamp(idx, coeff_len) as u64)
     }
 
     // ---- expression evaluation --------------------------------------
 
-    fn lookup(&self, t: &Thread, s: Sym) -> Option<Val> {
-        t.scopes.iter().rev().find_map(|sc| sc.get(&s).copied())
+    fn lookup(t: &Thread, n: Name) -> Option<Val> {
+        match n {
+            Name::Slot(slot) => Some(t.frame[slot as usize]),
+            Name::Unbound(_) => None,
+        }
+    }
+
+    fn name_of(&self, n: Name) -> &'p str {
+        match n {
+            Name::Slot(slot) => self.slot_name(slot),
+            Name::Unbound(sym) => self.syms.name(sym),
+        }
     }
 
     fn to_int(&self, v: Val) -> EResult<i64> {
@@ -349,29 +508,48 @@ impl Interp<'_> {
         }
     }
 
-    fn eval(&mut self, t: &mut Thread, e: &Expr) -> EResult<Val> {
+    fn subscripts(&mut self, t: &mut Thread<'p>, indices: &'p [RExpr]) -> EResult<Subs> {
+        let mut subs = Subs::new();
+        for ix in indices {
+            let v = self.eval(t, ix)?;
+            subs.push(self.to_int(v)?);
+        }
+        Ok(subs)
+    }
+
+    /// Evaluate `e`. Literals and bound variables — most operands — are
+    /// read in place; every other node is one call.
+    #[inline(always)]
+    fn eval(&mut self, t: &mut Thread<'p>, e: &'p RExpr) -> EResult<Val> {
         match e {
-            Expr::Num(n) => Ok(Val::Int(*n)),
-            Expr::Builtin(b) => Ok(Val::Int(match b {
+            RExpr::Num(n) => Ok(Val::Int(*n)),
+            RExpr::Var(Name::Slot(slot)) => Ok(t.frame[*slot as usize]),
+            _ => self.eval_node(t, e),
+        }
+    }
+
+    fn eval_node(&mut self, t: &mut Thread<'p>, e: &'p RExpr) -> EResult<Val> {
+        match e {
+            RExpr::Num(n) => Ok(Val::Int(*n)),
+            RExpr::Builtin(b) => Ok(Val::Int(match b {
                 Builtin::Tx => t.id as i64 % self.env.block.0,
                 Builtin::Ty => t.id as i64 / self.env.block.0,
                 Builtin::Bx => self.bx,
                 Builtin::By => self.by,
             })),
-            Expr::Var(s) => self
-                .lookup(t, *s)
-                .ok_or_else(|| ee(format!("unknown variable `{}`", self.k.syms.name(*s)))),
-            Expr::Neg(x) => match self.eval(t, x)? {
+            RExpr::Var(n) => Self::lookup(t, *n)
+                .ok_or_else(|| ee(format!("unknown variable `{}`", self.name_of(*n)))),
+            RExpr::Neg(x) => match self.eval(t, x)? {
                 Val::Int(n) => Ok(Val::Int(n.wrapping_neg())),
                 Val::Data(d) => Ok(Val::Data(mix(TAG_NEG, d))),
                 other => Err(ee(format!("cannot negate {other:?}"))),
             },
-            Expr::CastInt(x) => {
+            RExpr::CastInt(x) => {
                 let v = self.eval(t, x)?;
                 let n = self.to_int(v)?;
                 Ok(Val::Int(n))
             }
-            Expr::CastData(x) => {
+            RExpr::CastData(x) => {
                 let v = self.eval(t, x)?;
                 match v {
                     Val::Data(d) => Ok(Val::Data(d)),
@@ -379,7 +557,7 @@ impl Interp<'_> {
                     other => Err(ee(format!("cannot cast {other:?} to data"))),
                 }
             }
-            Expr::Lane { var, lane } => match self.lookup(t, *var) {
+            RExpr::Lane { var, lane } => match Self::lookup(t, *var) {
                 Some(Val::Vec(lanes, n)) => {
                     if *lane < n {
                         Ok(Val::Data(lanes[*lane as usize]))
@@ -389,77 +567,49 @@ impl Interp<'_> {
                 }
                 _ => Err(ee(format!(
                     "`.{lane}` on non-vector `{}`",
-                    self.k.syms.name(*var)
+                    self.name_of(*var)
                 ))),
             },
-            Expr::VecLoad { index, lanes, pos } => {
+            RExpr::VecLoad { index, lanes, pos } => {
                 let v = self.eval(t, index)?;
                 let addr = self.to_int(v)?;
-                if addr % (*lanes as i64) != 0 {
-                    self.violate(
-                        ViolationKind::GlobalOob,
-                        *pos,
-                        format!("{lanes}-wide vector load at misaligned address {addr}"),
-                    );
+                let lanes = *lanes;
+                if addr % (lanes as i64) != 0 {
+                    self.violate(ViolationKind::GlobalOob, *pos, || {
+                        format!("{lanes}-wide vector load at misaligned address {addr}")
+                    });
                 }
-                let base = self.global_load(addr, *lanes, *pos);
+                let base = self.global_load(addr, lanes, *pos);
                 let mut ls = [0u64; 4];
-                for (i, l) in ls.iter_mut().enumerate().take(*lanes as usize) {
+                for (i, l) in ls.iter_mut().enumerate().take(lanes as usize) {
                     *l = if i == 0 {
                         base
                     } else {
-                        mix(TAG_GLOBAL, (addr + i as i64) as u64)
+                        mix(TAG_GLOBAL, addr.wrapping_add(i as i64) as u64)
                     };
                 }
-                Ok(Val::Vec(ls, *lanes))
+                Ok(Val::Vec(ls, lanes))
             }
-            Expr::Bin(op, a, b) => {
+            RExpr::Bin(op, a, b) => {
                 let va = self.eval(t, a)?;
                 let vb = self.eval(t, b)?;
                 self.eval_bin(*op, va, vb)
             }
-            Expr::Index { base, indices, pos } => {
+            RExpr::Index { mem, indices, pos } => {
                 t.cur_pos = *pos;
-                let idx = indices
-                    .iter()
-                    .map(|ix| {
-                        let v = self.eval(t, ix)?;
-                        self.to_int(v)
-                    })
-                    .collect::<EResult<Vec<i64>>>()?;
-                self.read_index(t, *base, &idx, *pos)
+                let subs = self.subscripts(t, indices)?;
+                self.read_index(t, *mem, subs.as_slice(), *pos)
             }
         }
     }
 
     fn eval_bin(&mut self, op: BinOp, a: Val, b: Val) -> EResult<Val> {
         if let (Val::Int(x), Val::Int(y)) = (a, b) {
-            let r = match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                BinOp::Div => {
-                    if y == 0 {
-                        return Err(ee("integer division by zero"));
-                    }
-                    x.wrapping_div(y)
-                }
-                BinOp::Rem => {
-                    if y == 0 {
-                        return Err(ee("integer remainder by zero"));
-                    }
-                    x.wrapping_rem(y)
-                }
-                BinOp::And => x & y,
-                BinOp::LAnd => ((x != 0) && (y != 0)) as i64,
-                BinOp::Lt => (x < y) as i64,
-                BinOp::Le => (x <= y) as i64,
-                BinOp::Gt => (x > y) as i64,
-                BinOp::Ge => (x >= y) as i64,
-                BinOp::Eq => (x == y) as i64,
-                BinOp::Ne => (x != y) as i64,
+            return match int_bin(op, x, y) {
+                Some(r) => Ok(Val::Int(r)),
+                None if op == BinOp::Div => Err(ee("integer division by zero")),
+                None => Err(ee("integer remainder by zero")),
             };
-            return Ok(Val::Int(r));
         }
         // Data arithmetic folds provenance; comparisons and logic on
         // data values are outside the subset (they would make control
@@ -474,57 +624,43 @@ impl Interp<'_> {
         }
     }
 
-    fn read_index(&mut self, t: &mut Thread, base: Base, idx: &[i64], pos: Pos) -> EResult<Val> {
-        match base {
-            Base::GlobalIn => {
+    fn read_index(&mut self, t: &mut Thread<'p>, mem: Mem, idx: &[i64], pos: Pos) -> EResult<Val> {
+        match mem {
+            Mem::GlobalIn => {
                 if idx.len() != 1 {
                     return Err(ee("`in` takes exactly one subscript"));
                 }
                 Ok(Val::Data(self.global_load(idx[0], 1, pos)))
             }
-            Base::GlobalOut => Err(ee("reads from `out` are outside the subset")),
-            Base::Coeff => {
+            Mem::GlobalOut => Err(ee("reads from `out` are outside the subset")),
+            Mem::Coeff => {
                 if idx.len() != 1 {
                     return Err(ee("coefficient array takes one subscript"));
                 }
                 Ok(Val::Data(self.coeff_read(idx[0], pos)))
             }
-            Base::Named(s) => {
-                if let Some(v) = self.lookup(t, s) {
-                    let addr = self.ptr_addr(s, v, idx, pos)?;
+            Mem::Scoped(slot) => {
+                let addr = self.ptr_addr(slot, t.frame[slot as usize], idx, pos)?;
+                Ok(Val::Data(self.shared_read(t, addr, pos)))
+            }
+            Mem::Array { sym, local, region } => {
+                if let Some(a) = local.and_then(|l| t.locals[l as usize]) {
+                    let cell = self.local_cell(a, sym, idx, pos);
+                    return Ok(Val::Data(t.store[cell]));
+                }
+                if let Some(region) = region {
+                    let addr = self.region_addr(region, sym, idx, pos);
                     return Ok(Val::Data(self.shared_read(t, addr, pos)));
                 }
-                if let Some(arr) = t.locals.get(&s) {
-                    let dims = arr.dims.clone();
-                    let flat = self.checked_flat(
-                        ViolationKind::LocalOob,
-                        self.k.syms.name(s),
-                        idx,
-                        &dims,
-                        pos,
-                    );
-                    return Ok(Val::Data(t.locals[&s].data[flat as usize]));
-                }
-                if let Some(region) = self.regions.get(&s) {
-                    let (rb, rd) = (region.base, region.dims.clone());
-                    let flat = self.checked_flat(
-                        ViolationKind::SharedOob,
-                        self.k.syms.name(s),
-                        idx,
-                        &rd,
-                        pos,
-                    );
-                    return Ok(Val::Data(self.shared_read(t, rb + flat, pos)));
-                }
-                Err(ee(format!("unknown array `{}`", self.k.syms.name(s))))
+                Err(ee(format!("unknown array `{}`", self.syms.name(sym))))
             }
         }
     }
 
-    /// Resolve an index through a `Ptr`/`View` scope value to a flat
+    /// Resolve an index through the `Ptr`/`View` in `slot` to a flat
     /// shared address, with bounds checks.
-    fn ptr_addr(&mut self, s: Sym, v: Val, idx: &[i64], pos: Pos) -> EResult<i64> {
-        let name = self.k.syms.name(s).to_string();
+    fn ptr_addr(&mut self, slot: u32, v: Val, idx: &[i64], pos: Pos) -> EResult<i64> {
+        let name = self.slot_name(slot);
         match v {
             Val::Ptr { addr, row_rem } => {
                 if idx.len() != 1 {
@@ -532,13 +668,11 @@ impl Interp<'_> {
                 }
                 let k = idx[0];
                 if k < 0 || k >= row_rem {
-                    self.violate(
-                        ViolationKind::SharedOob,
-                        pos,
-                        format!("{name}[{k}]: lane store crosses a shared-memory row ({row_rem} elements remain)"),
-                    );
+                    self.violate(ViolationKind::SharedOob, pos, || {
+                        format!("{name}[{k}]: lane store crosses a shared-memory row ({row_rem} elements remain)")
+                    });
                 }
-                Ok(addr + Self::clamp(k, row_rem))
+                Ok(addr.wrapping_add(Self::clamp(k, row_rem)))
             }
             Val::View {
                 base,
@@ -550,23 +684,21 @@ impl Interp<'_> {
                 }
                 let (i0, i1) = (idx[0], idx[1]);
                 if i1 < 0 || i1 >= row_len {
-                    self.violate(
-                        ViolationKind::SharedOob,
-                        pos,
-                        format!("{name}[…][{i1}]: column outside [0, {row_len})"),
-                    );
+                    self.violate(ViolationKind::SharedOob, pos, || {
+                        format!("{name}[…][{i1}]: column outside [0, {row_len})")
+                    });
                 }
-                let flat = i0 * row_len + Self::clamp(i1, row_len);
+                let flat = i0
+                    .wrapping_mul(row_len)
+                    .wrapping_add(Self::clamp(i1, row_len));
                 if flat < 0 || flat >= extent {
-                    self.violate(
-                        ViolationKind::SharedOob,
-                        pos,
+                    self.violate(ViolationKind::SharedOob, pos, || {
                         format!(
                             "{name}[{i0}][{i1}]: outside the selected buffer of {extent} elements"
-                        ),
-                    );
+                        )
+                    });
                 }
-                Ok(base + Self::clamp(flat, extent))
+                Ok(base.wrapping_add(Self::clamp(flat, extent)))
             }
             other => Err(ee(format!("`{name}` ({other:?}) is not indexable"))),
         }
@@ -574,73 +706,80 @@ impl Interp<'_> {
 
     // ---- statements --------------------------------------------------
 
-    fn exec_block(&mut self, t: &mut Thread, body: &[Stmt]) -> EResult<()> {
-        t.scopes.push(HashMap::new());
-        let r = self.exec_stmts(t, body);
-        t.scopes.pop();
-        r
-    }
-
-    fn exec_stmts(&mut self, t: &mut Thread, body: &[Stmt]) -> EResult<()> {
+    fn exec_stmts(&mut self, t: &mut Thread<'p>, body: &'p [RStmt]) -> EResult<()> {
         for s in body {
             self.exec_stmt(t, s)?;
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, t: &mut Thread, s: &Stmt) -> EResult<()> {
+    fn exec_stmt(&mut self, t: &mut Thread<'p>, s: &'p RStmt) -> EResult<()> {
         t.steps += 1;
         if t.steps > self.env.step_budget {
             return Err(ee("per-thread statement budget exhausted"));
         }
         match s {
-            Stmt::Nop => Ok(()),
-            Stmt::Barrier { pos } => {
+            RStmt::Nop => Ok(()),
+            RStmt::Barrier { pos } => {
                 t.phase += 1;
                 t.trace.push(*pos);
                 Ok(())
             }
-            Stmt::DeclScalar { name, init } => {
-                let v = self.eval(t, init)?;
-                t.scopes.last_mut().unwrap().insert(*name, v);
+            RStmt::DeclScalar { slot, init } => {
+                t.frame[*slot as usize] = self.eval(t, init)?;
                 Ok(())
             }
-            Stmt::DeclArray { name, dims } => {
-                let extent: i64 = dims.iter().product();
-                if extent <= 0 || extent > 1 << 20 {
-                    return Err(ee(format!(
-                        "local array `{}` has implausible extent {extent}",
-                        self.k.syms.name(*name)
-                    )));
-                }
-                let data = (0..extent)
-                    .map(|i| mix3(TAG_UNINIT, *name as u64, i as u64))
-                    .collect();
-                t.locals.insert(
-                    *name,
-                    LocalArr {
-                        dims: dims.clone(),
-                        data,
-                    },
-                );
-                Ok(())
-            }
-            Stmt::DeclPtr {
+            RStmt::DeclArray {
+                local,
                 name,
+                dims,
+                extent,
+            } => {
+                let len = match *extent {
+                    Some(e) if e > 0 && e <= MAX_ARRAY_EXTENT => e as usize,
+                    Some(e) => {
+                        return Err(ee(format!(
+                            "local array `{}` has implausible extent {e}",
+                            self.syms.name(*name)
+                        )))
+                    }
+                    None => {
+                        return Err(ee(format!(
+                            "local array `{}` has implausible extent: the product of its dims {dims:?} overflows",
+                            self.syms.name(*name)
+                        )))
+                    }
+                };
+                let (off, cap) = match t.locals[*local as usize] {
+                    Some(a) if a.cap >= len => (a.off, a.cap),
+                    _ => {
+                        let off = t.store.len();
+                        t.store.resize(off + len, 0);
+                        (off, len)
+                    }
+                };
+                for (i, c) in t.store[off..off + len].iter_mut().enumerate() {
+                    *c = mix3(TAG_UNINIT, *name as u64, i as u64);
+                }
+                t.locals[*local as usize] = Some(LocalArr {
+                    off,
+                    len,
+                    cap,
+                    dims,
+                });
+                Ok(())
+            }
+            RStmt::DeclPtr {
+                slot,
                 base,
                 indices,
                 pos,
             } => {
                 t.cur_pos = *pos;
-                let idx = indices
-                    .iter()
-                    .map(|ix| {
-                        let v = self.eval(t, ix)?;
-                        self.to_int(v)
-                    })
-                    .collect::<EResult<Vec<i64>>>()?;
-                let v = if let Some(view) = self.lookup(t, *base) {
-                    match view {
+                let subs = self.subscripts(t, indices)?;
+                let idx = subs.as_slice();
+                let v = match *base {
+                    PtrBase::Scoped(view) => match t.frame[view as usize] {
                         Val::View {
                             base: vb,
                             extent,
@@ -649,115 +788,97 @@ impl Interp<'_> {
                             if idx.len() != 2 {
                                 return Err(ee("pointer into a view takes two subscripts"));
                             }
-                            let flat = idx[0] * row_len + idx[1];
-                            if flat < 0 || flat >= extent || idx[1] < 0 || idx[1] >= row_len {
-                                self.violate(
-                                    ViolationKind::SharedOob,
-                                    *pos,
-                                    format!(
-                                        "&{}[{}][{}] outside the selected buffer",
-                                        self.k.syms.name(*base),
-                                        idx[0],
-                                        idx[1]
-                                    ),
-                                );
+                            let (i0, i1) = (idx[0], idx[1]);
+                            let flat = i0.wrapping_mul(row_len).wrapping_add(i1);
+                            if flat < 0 || flat >= extent || i1 < 0 || i1 >= row_len {
+                                let name = self.slot_name(view);
+                                self.violate(ViolationKind::SharedOob, *pos, || {
+                                    format!("&{name}[{i0}][{i1}] outside the selected buffer")
+                                });
                             }
                             Val::Ptr {
-                                addr: vb + Self::clamp(flat, extent),
-                                row_rem: (row_len - Self::clamp(idx[1], row_len)).max(1),
+                                addr: vb.wrapping_add(Self::clamp(flat, extent)),
+                                row_rem: (row_len - Self::clamp(i1, row_len)).max(1),
                             }
                         }
                         other => {
                             return Err(ee(format!("cannot take a row pointer into {other:?}")))
                         }
+                    },
+                    PtrBase::Region { region, sym } => {
+                        let addr = self.region_addr(region, sym, idx, *pos);
+                        let dims = &self.regions[region as usize].dims;
+                        let last_dim = *dims.last().unwrap_or(&1);
+                        let last_idx = Self::clamp(idx.last().copied().unwrap_or(0), last_dim);
+                        Val::Ptr {
+                            addr,
+                            row_rem: (last_dim - last_idx).max(1),
+                        }
                     }
-                } else if let Some(region) = self.regions.get(base) {
-                    let (rb, rd) = (region.base, region.dims.clone());
-                    let flat = self.checked_flat(
-                        ViolationKind::SharedOob,
-                        self.k.syms.name(*base),
-                        &idx,
-                        &rd,
-                        *pos,
-                    );
-                    let last_dim = *rd.last().unwrap_or(&1);
-                    let last_idx = Self::clamp(idx.last().copied().unwrap_or(0), last_dim);
-                    Val::Ptr {
-                        addr: rb + flat,
-                        row_rem: (last_dim - last_idx).max(1),
+                    PtrBase::Unbound(sym) => {
+                        return Err(ee(format!(
+                            "`&{}[…]`: unknown shared array",
+                            self.syms.name(sym)
+                        )))
                     }
-                } else {
-                    return Err(ee(format!(
-                        "`&{}[…]`: unknown shared array",
-                        self.k.syms.name(*base)
-                    )));
                 };
-                t.scopes.last_mut().unwrap().insert(*name, v);
+                t.frame[*slot as usize] = v;
                 Ok(())
             }
-            Stmt::DeclAlias {
-                name,
+            RStmt::DeclAlias {
+                slot,
                 base,
+                region,
                 index,
                 row_len,
                 pos,
             } => {
                 t.cur_pos = *pos;
-                let region = match self.regions.get(base) {
-                    Some(r) => (r.base, r.dims.clone(), r.extent),
-                    None => {
-                        return Err(ee(format!(
-                            "alias base `{}` is not a shared array",
-                            self.k.syms.name(*base)
-                        )))
-                    }
+                let Some(region) = region else {
+                    return Err(ee(format!(
+                        "alias base `{}` is not a shared array",
+                        self.syms.name(*base)
+                    )));
                 };
-                let (rb, rd, _extent) = region;
+                let r = &self.regions[*region as usize];
+                let (rb, rd) = (r.base, &r.dims);
                 if rd.len() != 3 {
                     return Err(ee("alias base must be a [bufs][rows][cols] array"));
                 }
                 let v = self.eval(t, index)?;
                 let sel = self.to_int(v)?;
-                if sel < 0 || sel >= rd[0] {
-                    self.violate(
-                        ViolationKind::SharedOob,
-                        *pos,
-                        format!("buffer selector {sel} outside [0, {})", rd[0]),
-                    );
+                let bufs = rd[0];
+                if sel < 0 || sel >= bufs {
+                    self.violate(ViolationKind::SharedOob, *pos, || {
+                        format!("buffer selector {sel} outside [0, {bufs})")
+                    });
                 }
-                let per_buf = rd[1] * rd[2];
-                t.scopes.last_mut().unwrap().insert(
-                    *name,
-                    Val::View {
-                        base: rb + Self::clamp(sel, rd[0]) * per_buf,
-                        extent: per_buf,
-                        row_len: *row_len,
-                    },
-                );
+                let per_buf = rd[1].wrapping_mul(rd[2]);
+                t.frame[*slot as usize] = Val::View {
+                    base: rb.wrapping_add(Self::clamp(sel, bufs).wrapping_mul(per_buf)),
+                    extent: per_buf,
+                    row_len: *row_len,
+                };
                 Ok(())
             }
-            Stmt::If { cond, body } => {
+            RStmt::If { cond, body } => {
                 let v = self.eval(t, cond)?;
                 if self.to_int(v)? != 0 {
-                    self.exec_block(t, body)?;
+                    self.exec_stmts(t, body)?;
                 }
                 Ok(())
             }
-            Stmt::For {
-                var,
+            RStmt::For {
+                slot,
                 init,
                 cond,
                 step,
                 body,
             } => {
-                let v0 = self.eval(t, init)?;
-                t.scopes.push(HashMap::new());
-                t.scopes.last_mut().unwrap().insert(*var, v0);
-                let r = self.run_loop(t, *var, cond, step, body);
-                t.scopes.pop();
-                r
+                t.frame[*slot as usize] = self.eval(t, init)?;
+                self.run_loop(t, *slot as usize, cond, step, body)
             }
-            Stmt::Assign { lhs, op, rhs, pos } => {
+            RStmt::Assign { lhs, op, rhs, pos } => {
                 t.cur_pos = *pos;
                 let rv = self.eval(t, rhs)?;
                 self.assign(t, lhs, *op, rv, *pos)
@@ -767,11 +888,11 @@ impl Interp<'_> {
 
     fn run_loop(
         &mut self,
-        t: &mut Thread,
-        var: Sym,
-        cond: &Expr,
-        step: &Step,
-        body: &[Stmt],
+        t: &mut Thread<'p>,
+        slot: usize,
+        cond: &'p RExpr,
+        step: &'p RStep,
+        body: &'p [RStmt],
     ) -> EResult<()> {
         loop {
             t.steps += 1;
@@ -782,45 +903,38 @@ impl Interp<'_> {
             if self.to_int(c)? == 0 {
                 return Ok(());
             }
-            self.exec_block(t, body)?;
-            let cur = match self.lookup(t, var) {
-                Some(Val::Int(n)) => n,
+            self.exec_stmts(t, body)?;
+            let cur = match t.frame[slot] {
+                Val::Int(n) => n,
                 _ => return Err(ee("loop variable lost its integer value")),
             };
             let next = match step {
-                Step::Inc => cur + 1,
-                Step::Dec => cur - 1,
-                Step::AddAssign(e) => {
+                RStep::Inc => cur.wrapping_add(1),
+                RStep::Dec => cur.wrapping_sub(1),
+                RStep::AddAssign(e) => {
                     let v = self.eval(t, e)?;
-                    cur + self.to_int(v)?
+                    cur.wrapping_add(self.to_int(v)?)
                 }
             };
-            // The loop scope is the outermost of any block scopes the
-            // body pushed and popped; the variable lives there.
-            for sc in t.scopes.iter_mut().rev() {
-                if let Some(slot) = sc.get_mut(&var) {
-                    *slot = Val::Int(next);
-                    break;
-                }
-            }
+            t.frame[slot] = Val::Int(next);
         }
     }
 
     fn assign(
         &mut self,
-        t: &mut Thread,
-        lhs: &LValue,
+        t: &mut Thread<'p>,
+        lhs: &'p RLValue,
         op: AssignOp,
         rv: Val,
         pos: Pos,
     ) -> EResult<()> {
         match lhs {
-            LValue::Var(s) => {
+            RLValue::Var(n) => {
                 let new = match op {
                     AssignOp::Set => rv,
                     AssignOp::Add => {
-                        let old = self.lookup(t, *s).ok_or_else(|| {
-                            ee(format!("unknown variable `{}`", self.k.syms.name(*s)))
+                        let old = Self::lookup(t, *n).ok_or_else(|| {
+                            ee(format!("unknown variable `{}`", self.name_of(*n)))
                         })?;
                         match (old, rv) {
                             (Val::Int(a), Val::Int(b)) => Val::Int(a.wrapping_add(b)),
@@ -832,56 +946,46 @@ impl Interp<'_> {
                         }
                     }
                 };
-                for sc in t.scopes.iter_mut().rev() {
-                    if let Some(slot) = sc.get_mut(s) {
-                        *slot = new;
-                        return Ok(());
+                match n {
+                    Name::Slot(slot) => {
+                        t.frame[*slot as usize] = new;
+                        Ok(())
                     }
+                    Name::Unbound(sym) => Err(ee(format!(
+                        "assignment to undeclared `{}`",
+                        self.syms.name(*sym)
+                    ))),
                 }
-                Err(ee(format!(
-                    "assignment to undeclared `{}`",
-                    self.k.syms.name(*s)
-                )))
             }
-            LValue::Index { base, indices } => {
-                let idx = indices
-                    .iter()
-                    .map(|ix| {
-                        let v = self.eval(t, ix)?;
-                        self.to_int(v)
-                    })
-                    .collect::<EResult<Vec<i64>>>()?;
+            RLValue::Index { mem, indices } => {
+                let subs = self.subscripts(t, indices)?;
+                let idx = subs.as_slice();
                 if op != AssignOp::Set {
                     // `+=` is admitted only on per-thread local arrays
                     // (the register-pipeline update in the in-plane
                     // kernels): the desugared read-modify-write needs
                     // no race bookkeeping there. Shared and global
                     // memory stay outside the subset.
-                    if let Base::Named(s) = base {
-                        if self.lookup(t, *s).is_none() && t.locals.contains_key(s) {
-                            let dims = t.locals[s].dims.clone();
-                            let flat = self.checked_flat(
-                                ViolationKind::LocalOob,
-                                self.k.syms.name(*s),
-                                &idx,
-                                &dims,
-                                pos,
-                            );
-                            let old = t.locals[s].data[flat as usize];
+                    if let Mem::Array {
+                        sym,
+                        local: Some(l),
+                        ..
+                    } = *mem
+                    {
+                        if let Some(a) = t.locals[l as usize] {
+                            let cell = self.local_cell(a, sym, idx, pos);
+                            let old = t.store[cell];
                             let add = self.to_data(rv)?;
-                            let mixed = mix3(TAG_OP, mix(op_code(BinOp::Add), old), add);
-                            t.locals.get_mut(s).unwrap().data[flat as usize] = mixed;
+                            t.store[cell] = mix3(TAG_OP, mix(op_code(BinOp::Add), old), add);
                             return Ok(());
                         }
                     }
                     return Err(ee("compound assignment to memory is outside the subset"));
                 }
-                match base {
-                    Base::GlobalIn => Err(ee("stores to `in` are outside the subset")),
-                    Base::Coeff => {
-                        Err(ee("stores to the coefficient array are outside the subset"))
-                    }
-                    Base::GlobalOut => {
+                match *mem {
+                    Mem::GlobalIn => Err(ee("stores to `in` are outside the subset")),
+                    Mem::Coeff => Err(ee("stores to the coefficient array are outside the subset")),
+                    Mem::GlobalOut => {
                         if idx.len() != 1 {
                             return Err(ee("`out` takes exactly one subscript"));
                         }
@@ -889,43 +993,51 @@ impl Interp<'_> {
                         self.global_store(idx[0], pos);
                         Ok(())
                     }
-                    Base::Named(s) => {
+                    Mem::Scoped(slot) => {
                         let prov = self.to_data(rv)?;
-                        if let Some(v) = self.lookup(t, *s) {
-                            let addr = self.ptr_addr(*s, v, &idx, pos)?;
+                        let addr = self.ptr_addr(slot, t.frame[slot as usize], idx, pos)?;
+                        self.shared_write(t, addr, prov, pos);
+                        Ok(())
+                    }
+                    Mem::Array { sym, local, region } => {
+                        let prov = self.to_data(rv)?;
+                        if let Some(a) = local.and_then(|l| t.locals[l as usize]) {
+                            let cell = self.local_cell(a, sym, idx, pos);
+                            t.store[cell] = prov;
+                            return Ok(());
+                        }
+                        if let Some(region) = region {
+                            let addr = self.region_addr(region, sym, idx, pos);
                             self.shared_write(t, addr, prov, pos);
                             return Ok(());
                         }
-                        if t.locals.contains_key(s) {
-                            let dims = t.locals[s].dims.clone();
-                            let flat = self.checked_flat(
-                                ViolationKind::LocalOob,
-                                self.k.syms.name(*s),
-                                &idx,
-                                &dims,
-                                pos,
-                            );
-                            t.locals.get_mut(s).unwrap().data[flat as usize] = prov;
-                            return Ok(());
-                        }
-                        if let Some(region) = self.regions.get(s) {
-                            let (rb, rd) = (region.base, region.dims.clone());
-                            let flat = self.checked_flat(
-                                ViolationKind::SharedOob,
-                                self.k.syms.name(*s),
-                                &idx,
-                                &rd,
-                                pos,
-                            );
-                            self.shared_write(t, rb + flat, prov, pos);
-                            return Ok(());
-                        }
-                        Err(ee(format!("unknown array `{}`", self.k.syms.name(*s))))
+                        Err(ee(format!("unknown array `{}`", self.syms.name(sym))))
                     }
                 }
             }
         }
     }
+}
+
+/// Integer arithmetic of the subset: wrapping, C-truncating, comparisons
+/// and logic as 0/1. `None` for a division or remainder by zero.
+pub(super) fn int_bin(op: BinOp, x: i64, y: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div | BinOp::Rem if y == 0 => return None,
+        BinOp::Div => x.wrapping_div(y),
+        BinOp::Rem => x.wrapping_rem(y),
+        BinOp::And => x & y,
+        BinOp::LAnd => ((x != 0) && (y != 0)) as i64,
+        BinOp::Lt => (x < y) as i64,
+        BinOp::Le => (x <= y) as i64,
+        BinOp::Gt => (x > y) as i64,
+        BinOp::Ge => (x >= y) as i64,
+        BinOp::Eq => (x == y) as i64,
+        BinOp::Ne => (x != y) as i64,
+    })
 }
 
 fn op_code(op: BinOp) -> u64 {
@@ -938,100 +1050,101 @@ fn op_code(op: BinOp) -> u64 {
     }
 }
 
+/// The scalar kernel arguments threads read by name: `Program::params`
+/// holds their slots in this order, and [`run_block`] binds them to the
+/// launch's `nx`, `ny`, `nz`, `stride` and `pstride`.
+pub(super) const PARAMS: [&str; 5] = ["lx", "ly", "lz", "stride", "pstride"];
+
 /// Execute every thread of block `(bx, by)` and collect its events.
+///
+/// A kernel whose shared declarations cannot be laid out (an extent
+/// that overflows or exceeds the bound) runs no thread: the block
+/// reports one [`ViolationKind::Eval`] at the offending declaration.
 pub fn run_block(kernel: &Kernel, env: &LaunchEnv, bx: i64, by: i64) -> BlockEvents {
-    let mut regions = HashMap::new();
-    let mut base = 0i64;
-    for d in &kernel.shared {
-        let extent: i64 = d.dims.iter().product::<i64>().max(0);
-        regions.insert(
-            d.name,
-            RegionInfo {
-                base,
-                dims: d.dims.clone(),
-                extent,
-            },
-        );
-        base += extent.max(1);
-    }
-    let coeff_len = kernel.coeff_len.unwrap_or(env.coeff_len);
+    let p = &kernel.program;
+    let (regions, extent) = match &p.shared {
+        Ok((regions, extent)) => (&regions[..], *extent),
+        Err(bad) => {
+            return BlockEvents {
+                violations: vec![Violation {
+                    kind: ViolationKind::Eval,
+                    pos: bad.pos,
+                    detail: bad.detail.clone(),
+                }],
+                ..BlockEvents::default()
+            }
+        }
+    };
     let mut it = Interp {
-        k: kernel,
+        p,
+        syms: &kernel.syms,
+        regions,
         env: *env,
         bx,
         by,
-        regions,
-        shared: HashMap::new(),
+        shared: SharedCells {
+            extent: extent as usize,
+            blocks: Vec::new(),
+            dense: Vec::new(),
+            sparse: BTreeMap::new(),
+        },
         ev: BlockEvents::default(),
-        seen: HashSet::new(),
-        buf_len: env.pstride * env.nz,
-        coeff_len,
+        seen: BTreeSet::new(),
+        buf_len: env.pstride.saturating_mul(env.nz),
+        coeff_len: kernel.coeff_len.unwrap_or(env.coeff_len),
     };
 
-    // Bind the scalar kernel parameters threads read by name.
-    let params: [(&str, i64); 5] = [
-        ("lx", env.nx),
-        ("ly", env.ny),
-        ("lz", env.nz),
-        ("stride", env.stride),
-        ("pstride", env.pstride),
-    ];
+    let params = [env.nx, env.ny, env.nz, env.stride, env.pstride];
 
-    let nthreads = (env.block.0 * env.block.1).max(0) as u32;
-    let mut canon_trace: Option<Vec<Pos>> = None;
+    let nthreads = (env.block.0.saturating_mul(env.block.1)).max(0) as u32;
+    let mut t = Thread {
+        id: 0,
+        frame: vec![Val::Int(0); p.slot_names.len()],
+        locals: vec![None; p.locals],
+        store: Vec::new(),
+        phase: 0,
+        trace: Vec::new(),
+        steps: 0,
+        cur_pos: Pos { line: 1, col: 1 },
+    };
     let mut diverged = false;
     for id in 0..nthreads {
-        let mut scope0 = HashMap::new();
-        for (name, v) in params {
-            if let Some(s) = kernel.syms.lookup(name) {
-                scope0.insert(s, Val::Int(v));
+        t.reset(id);
+        for (slot, v) in p.params.iter().zip(params) {
+            if let Some(slot) = slot {
+                t.frame[*slot as usize] = Val::Int(v);
             }
         }
-        let mut t = Thread {
-            id,
-            scopes: vec![scope0],
-            locals: HashMap::new(),
-            phase: 0,
-            trace: Vec::new(),
-            steps: 0,
-            cur_pos: Pos { line: 1, col: 1 },
-        };
-        let r = it.exec_stmts(&mut t, &kernel.body);
-        if let Err(e) = r {
+        if let Err(e) = it.exec_stmts(&mut t, &p.body) {
             let kind = if e.msg.contains("budget") {
                 ViolationKind::Budget
             } else {
                 ViolationKind::Eval
             };
-            it.violate(kind, t.cur_pos, format!("thread {id}: {}", e.msg));
+            it.violate(kind, t.cur_pos, || format!("thread {id}: {}", e.msg));
         }
-        match &canon_trace {
-            None => {
-                it.ev.barrier_trace = t.trace.clone();
-                canon_trace = Some(t.trace);
-            }
-            Some(c) => {
-                if !diverged && *c != t.trace {
-                    diverged = true;
-                    let pos = c
-                        .iter()
-                        .zip(&t.trace)
-                        .find(|(a, b)| a != b)
-                        .map(|(a, _)| *a)
-                        .or_else(|| c.get(t.trace.len()).copied())
-                        .or_else(|| t.trace.get(c.len()).copied())
-                        .unwrap_or(Pos { line: 1, col: 1 });
-                    it.violate(
-                        ViolationKind::BarrierDivergence,
-                        pos,
-                        format!(
-                            "thread {id} executed {} barrier(s), thread 0 executed {}; first differing site marked",
-                            t.trace.len(),
-                            c.len()
-                        ),
-                    );
-                }
-            }
+        // Thread 0's barrier sequence is the canonical one.
+        if id == 0 {
+            it.ev.barrier_trace = t.trace.clone();
+            continue;
+        }
+        let canon = &it.ev.barrier_trace;
+        if !diverged && *canon != t.trace {
+            diverged = true;
+            let pos = canon
+                .iter()
+                .zip(&t.trace)
+                .find(|(a, b)| a != b)
+                .map(|(a, _)| *a)
+                .or_else(|| canon.get(t.trace.len()).copied())
+                .or_else(|| t.trace.get(canon.len()).copied())
+                .unwrap_or(Pos { line: 1, col: 1 });
+            let (executed, canonical) = (t.trace.len(), canon.len());
+            it.violate(ViolationKind::BarrierDivergence, pos, || {
+                format!(
+                    "thread {id} executed {executed} barrier(s), thread 0 executed {canonical}; first differing site marked"
+                )
+            });
         }
     }
     it.ev
@@ -1240,5 +1353,95 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::SharedRace));
+    }
+
+    /// The single K006 a block reports for `decls`, which name an
+    /// implausible extent.
+    fn implausible(decls: &str) -> Violation {
+        let src = format!("void k(const float* in, float* out) {{\n{decls}\nout[0] = in[0];\n}}");
+        let ev = run(&src, &env2());
+        assert_eq!(ev.violations.len(), 1, "{:?}", ev.violations);
+        let v = ev.violations[0].clone();
+        assert_eq!(v.kind, ViolationKind::Eval);
+        assert!(v.detail.contains("implausible extent"), "{}", v.detail);
+        v
+    }
+
+    #[test]
+    fn local_extent_overflowing_i64_is_an_eval_violation() {
+        let v = implausible("float a[4294967296][4294967296];");
+        assert!(
+            v.detail.starts_with("thread 0: local array `a`"),
+            "{}",
+            v.detail
+        );
+    }
+
+    #[test]
+    fn shared_extent_overflowing_i64_is_an_eval_violation() {
+        let v = implausible("__shared__ float a[4294967296][4294967296];");
+        assert!(v.detail.contains("overflows"), "{}", v.detail);
+        assert_eq!(v.pos.line, 2);
+    }
+
+    #[test]
+    fn shared_space_overflowing_i64_is_an_eval_violation() {
+        let v = implausible(
+            "__shared__ float a[3037000499][3037000499];\n__shared__ float b[3037000499][3037000499];",
+        );
+        assert!(v.detail.starts_with("shared array `a`"), "{}", v.detail);
+    }
+
+    #[test]
+    fn shared_space_is_bounded_like_a_local_array() {
+        // Two arrays fill the bound exactly; a third element passes it.
+        let ok = run(
+            "void k(const float* in, float* out) {\n\
+             __shared__ float a[1024][512];\n\
+             __shared__ float b[1024][512];\n\
+             b[1023][511] = in[0];\n\
+             }",
+            &env2(),
+        );
+        assert!(ok.violations.is_empty(), "{:?}", ok.violations);
+        let v = implausible(
+            "__shared__ float a[1024][512];\n__shared__ float b[1024][512];\n__shared__ float c[1];",
+        );
+        assert!(v.detail.starts_with("shared array `c`"), "{}", v.detail);
+    }
+
+    #[test]
+    fn a_local_array_outlives_its_block() {
+        // Local arrays are scope-less: declared inside the `if`, `p` is
+        // still the array after the block ends, and it shadows the
+        // shared array of the same name.
+        let ev = run(
+            "void k(const float* in, float* out) {\n\
+             __shared__ float p[2];\n\
+             const int tx = threadIdx.x;\n\
+             if (tx < 2) {\n\
+             float p[1];\n\
+             }\n\
+             p[0] = in[tx];\n\
+             out[tx] = p[0];\n\
+             }",
+            &env2(),
+        );
+        // Through the shared array, the two threads would race on p[0].
+        assert!(ev.violations.is_empty(), "{:?}", ev.violations);
+    }
+
+    #[test]
+    fn a_scope_value_shadows_arrays_of_the_same_name() {
+        let ev = run(
+            "void k(const float* in, float* out) {\n\
+             __shared__ float s[4];\n\
+             const int tx = threadIdx.x;\n\
+             float* s = &s[2];\n\
+             s[tx] = in[tx];\n\
+             }",
+            &env2(),
+        );
+        assert!(ev.violations.is_empty(), "{:?}", ev.violations);
     }
 }

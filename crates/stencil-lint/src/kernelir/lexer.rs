@@ -315,9 +315,16 @@ pub fn count_token_occurrences(haystack: &str, needle: &str) -> Option<usize> {
     Some(count)
 }
 
+/// Most tokens [`expand_macros`] produces. Emitted kernels expand to a
+/// few thousand; a chain of self-doubling `#define`s would otherwise
+/// grow exponentially in its depth.
+pub const MAX_EXPANDED_TOKENS: usize = 1 << 18;
+
 /// Expand object-like macros in `tokens` using the collected define
 /// table, recursively, with a depth guard. Expanded tokens inherit the
 /// use-site position so diagnostics point at real source lines.
+/// Expansion stops once the output holds [`MAX_EXPANDED_TOKENS`]
+/// tokens; the parser rejects a stream that long.
 pub fn expand_macros(tokens: &[Token], defines: &[(String, Vec<Token>)]) -> Vec<Token> {
     fn expand_one(
         tok: &Token,
@@ -325,6 +332,9 @@ pub fn expand_macros(tokens: &[Token], defines: &[(String, Vec<Token>)]) -> Vec<
         depth: usize,
         out: &mut Vec<Token>,
     ) {
+        if out.len() >= MAX_EXPANDED_TOKENS {
+            return;
+        }
         if depth < 32 {
             if let TokKind::Ident(name) = &tok.kind {
                 if let Some((_, body)) = defines.iter().find(|(n, _)| n == name) {

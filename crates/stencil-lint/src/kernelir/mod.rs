@@ -16,7 +16,9 @@
 //! * [`parser`] — a recursive-descent parser over the macro-expanded
 //!   token stream. `#define`s are collected by the lexer and expanded
 //!   *at token level* before parsing, so derived macros (`WX`,
-//!   `SMEM_W`) resolve exactly as a C preprocessor would.
+//!   `SMEM_W`) resolve exactly as a C preprocessor would. A final pass
+//!   binds every name to its storage, so the evaluator never looks a
+//!   name up.
 //! * [`interp`] — a concrete per-thread evaluator parameterized by
 //!   `(TX, TY, RX, RY, radius, VW, grid dims)`. Index values are
 //!   concrete integers; data values are provenance hashes (a global

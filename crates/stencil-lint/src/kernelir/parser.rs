@@ -7,11 +7,18 @@
 //! unverified kernel. `#define`s are expanded at token level before
 //! parsing, so a tampered `#define R 3` changes the AST exactly the way
 //! it would change the compiled kernel.
+//!
+//! After parsing, one resolution pass binds every name of the body to
+//! its storage and lays the shared arrays out (see `ast::Program`), so the
+//! interpreter never looks a name up while a thread runs.
 
 use super::ast::{
-    AssignOp, Base, BinOp, Builtin, Expr, Kernel, LValue, SharedDecl, Step, Stmt, Sym, SymTab,
+    AssignOp, Base, BinOp, Builtin, Expr, ImplausibleShared, Kernel, LValue, Mem, Name, Program,
+    PtrBase, RExpr, RLValue, RStep, RStmt, Region, SharedDecl, Slot, Step, Stmt, Sym, SymTab,
+    MAX_ARRAY_EXTENT,
 };
-use super::lexer::{expand_macros, lex, Pos, TokKind, Token};
+use super::interp::{int_bin, PARAMS};
+use super::lexer::{expand_macros, lex, Pos, TokKind, Token, MAX_EXPANDED_TOKENS};
 use std::fmt;
 
 /// Parse failure: position plus a human-readable reason.
@@ -657,6 +664,12 @@ pub fn parse_kernel(source: &str) -> Result<Kernel, ParseError> {
         msg: format!("lex error: unrecognised character {:?}", e.ch),
     })?;
     let toks = expand_macros(&lexed.tokens, &lexed.defines);
+    if toks.len() >= MAX_EXPANDED_TOKENS {
+        return Err(ParseError {
+            pos: END_POS,
+            msg: format!("#define expansion exceeds {MAX_EXPANDED_TOKENS} tokens"),
+        });
+    }
 
     let mut p = Parser {
         toks,
@@ -723,6 +736,7 @@ pub fn parse_kernel(source: &str) -> Result<Kernel, ParseError> {
         // function — outside the verified subset.
         return p.err("unexpected tokens after kernel body");
     }
+    let program = resolve(&p.syms, &body, &p.shared, &p.local_arrays);
     Ok(Kernel {
         syms: p.syms,
         name,
@@ -730,7 +744,301 @@ pub fn parse_kernel(source: &str) -> Result<Kernel, ParseError> {
         coeff_len,
         body,
         local_arrays: p.local_arrays,
+        program,
     })
+}
+
+/// Bind every name of `body` to its storage.
+///
+/// Scalars, loop variables, pointers and views are lexically scoped:
+/// each declaration gets a fresh frame slot, visible from the next
+/// statement to the end of its block (a `for` variable for the loop's
+/// condition, step and body), and the innermost declaration wins. That
+/// is exactly what a per-thread scope stack would see at run time,
+/// because every block is entered and left in program order. An indexed
+/// name that is not a scope value stays a runtime choice between the
+/// thread's local array of that name — visible from its declaration to
+/// the end of the thread, even after its block ends — and the shared
+/// region of that name.
+fn resolve(
+    syms: &SymTab,
+    body: &[Stmt],
+    shared: &[SharedDecl],
+    local_arrays: &[(Sym, Vec<i64>)],
+) -> Program {
+    let mut locals: Vec<Sym> = Vec::new();
+    for (name, _) in local_arrays {
+        if !locals.contains(name) {
+            locals.push(*name);
+        }
+    }
+    let mut r = Resolver {
+        scopes: vec![Vec::new()],
+        slot_names: Vec::new(),
+        locals,
+        shared,
+    };
+    let params = PARAMS.map(|p| syms.lookup(p).map(|s| r.declare(s)));
+    let body = r.stmts(body);
+    Program {
+        body,
+        slot_names: r.slot_names.into(),
+        params,
+        locals: r.locals.len(),
+        shared: layout_shared(syms, shared),
+    }
+}
+
+/// Lay the shared arrays out back to back in one flat address space (an
+/// empty array still takes one address), refusing a declaration whose
+/// extent overflows or pushes the space past [`MAX_ARRAY_EXTENT`].
+fn layout_shared(
+    syms: &SymTab,
+    shared: &[SharedDecl],
+) -> Result<(Box<[Region]>, i64), ImplausibleShared> {
+    let mut regions = Vec::with_capacity(shared.len());
+    let mut base = 0i64;
+    for d in shared {
+        let extent = d.dims.iter().try_fold(1i64, |a, &x| a.checked_mul(x));
+        let end = extent.and_then(|e| base.checked_add(e.max(1)));
+        match end {
+            Some(end) if end <= MAX_ARRAY_EXTENT => {
+                regions.push(Region {
+                    base,
+                    dims: d.dims.clone().into(),
+                });
+                base = end;
+            }
+            _ => {
+                let name = syms.name(d.name);
+                let detail = match extent {
+                    None => format!(
+                        "shared array `{name}` has implausible extent: the product of its dims {:?} overflows",
+                        d.dims
+                    ),
+                    Some(e) => format!(
+                        "shared array `{name}` has implausible extent {e}: the shared arrays would span more than {MAX_ARRAY_EXTENT} elements"
+                    ),
+                };
+                return Err(ImplausibleShared { pos: d.pos, detail });
+            }
+        }
+    }
+    Ok((regions.into(), base))
+}
+
+struct Resolver<'k> {
+    /// Lexical scopes, innermost last; later entries shadow earlier ones.
+    scopes: Vec<Vec<(Sym, Slot)>>,
+    /// The name declared into each slot so far.
+    slot_names: Vec<Sym>,
+    /// Local-array names; the index is the local-array id.
+    locals: Vec<Sym>,
+    shared: &'k [SharedDecl],
+}
+
+impl Resolver<'_> {
+    fn declare(&mut self, s: Sym) -> Slot {
+        let slot = self.slot_names.len() as Slot;
+        self.slot_names.push(s);
+        self.scopes.last_mut().expect("a scope").push((s, slot));
+        slot
+    }
+
+    fn lookup(&self, s: Sym) -> Option<Slot> {
+        self.scopes
+            .iter()
+            .rev()
+            .flat_map(|sc| sc.iter().rev())
+            .find(|(n, _)| *n == s)
+            .map(|&(_, slot)| slot)
+    }
+
+    fn name(&self, s: Sym) -> Name {
+        self.lookup(s).map_or(Name::Unbound(s), Name::Slot)
+    }
+
+    fn local(&self, s: Sym) -> Option<u32> {
+        self.locals.iter().position(|&n| n == s).map(|i| i as u32)
+    }
+
+    /// The region of `s`: its last shared declaration.
+    fn region(&self, s: Sym) -> Option<u32> {
+        self.shared
+            .iter()
+            .rposition(|d| d.name == s)
+            .map(|i| i as u32)
+    }
+
+    fn mem(&self, base: Base) -> Mem {
+        match base {
+            Base::GlobalIn => Mem::GlobalIn,
+            Base::GlobalOut => Mem::GlobalOut,
+            Base::Coeff => Mem::Coeff,
+            Base::Named(sym) => match self.lookup(sym) {
+                Some(slot) => Mem::Scoped(slot),
+                None => Mem::Array {
+                    sym,
+                    local: self.local(sym),
+                    region: self.region(sym),
+                },
+            },
+        }
+    }
+
+    fn expr(&self, e: &Expr) -> RExpr {
+        let bx = |x: &Expr| Box::new(self.expr(x));
+        match e {
+            Expr::Num(n) => RExpr::Num(*n),
+            Expr::Var(s) => RExpr::Var(self.name(*s)),
+            Expr::Builtin(b) => RExpr::Builtin(*b),
+            // Integer constants (expanded `#define`s) fold here, once,
+            // exactly as the interpreter would compute them; a division
+            // by zero is left to fail when it executes.
+            Expr::Bin(op, a, b) => match (self.expr(a), self.expr(b)) {
+                (RExpr::Num(x), RExpr::Num(y)) if int_bin(*op, x, y).is_some() => {
+                    RExpr::Num(int_bin(*op, x, y).unwrap_or_default())
+                }
+                (a, b) => RExpr::Bin(*op, Box::new(a), Box::new(b)),
+            },
+            Expr::Neg(x) => match self.expr(x) {
+                RExpr::Num(n) => RExpr::Num(n.wrapping_neg()),
+                x => RExpr::Neg(Box::new(x)),
+            },
+            Expr::Index { base, indices, pos } => RExpr::Index {
+                mem: self.mem(*base),
+                indices: self.exprs(indices),
+                pos: *pos,
+            },
+            Expr::VecLoad { index, lanes, pos } => RExpr::VecLoad {
+                index: bx(index),
+                lanes: *lanes,
+                pos: *pos,
+            },
+            Expr::Lane { var, lane } => RExpr::Lane {
+                var: self.name(*var),
+                lane: *lane,
+            },
+            Expr::CastInt(x) => match self.expr(x) {
+                RExpr::Num(n) => RExpr::Num(n),
+                x => RExpr::CastInt(Box::new(x)),
+            },
+            Expr::CastData(x) => RExpr::CastData(bx(x)),
+        }
+    }
+
+    fn exprs(&self, es: &[Expr]) -> Box<[RExpr]> {
+        es.iter().map(|e| self.expr(e)).collect()
+    }
+
+    fn stmts(&mut self, body: &[Stmt]) -> Box<[RStmt]> {
+        body.iter().map(|s| self.stmt(s)).collect()
+    }
+
+    fn block(&mut self, body: &[Stmt]) -> Box<[RStmt]> {
+        self.scopes.push(Vec::new());
+        let body = self.stmts(body);
+        self.scopes.pop();
+        body
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> RStmt {
+        match s {
+            Stmt::DeclScalar { name, init } => {
+                let init = self.expr(init);
+                RStmt::DeclScalar {
+                    slot: self.declare(*name),
+                    init,
+                }
+            }
+            Stmt::DeclArray { name, dims } => RStmt::DeclArray {
+                local: self.local(*name).expect("every local array is collected"),
+                name: *name,
+                dims: dims.clone().into(),
+                extent: dims.iter().try_fold(1i64, |a, &x| a.checked_mul(x)),
+            },
+            Stmt::DeclPtr {
+                name,
+                base,
+                indices,
+                pos,
+            } => {
+                let indices = self.exprs(indices);
+                let base = match (self.lookup(*base), self.region(*base)) {
+                    (Some(slot), _) => PtrBase::Scoped(slot),
+                    (None, Some(region)) => PtrBase::Region { region, sym: *base },
+                    (None, None) => PtrBase::Unbound(*base),
+                };
+                RStmt::DeclPtr {
+                    slot: self.declare(*name),
+                    base,
+                    indices,
+                    pos: *pos,
+                }
+            }
+            Stmt::DeclAlias {
+                name,
+                base,
+                index,
+                row_len,
+                pos,
+            } => {
+                let index = self.expr(index);
+                RStmt::DeclAlias {
+                    slot: self.declare(*name),
+                    base: *base,
+                    region: self.region(*base),
+                    index,
+                    row_len: *row_len,
+                    pos: *pos,
+                }
+            }
+            Stmt::Assign { lhs, op, rhs, pos } => RStmt::Assign {
+                lhs: match lhs {
+                    LValue::Var(s) => RLValue::Var(self.name(*s)),
+                    LValue::Index { base, indices } => RLValue::Index {
+                        mem: self.mem(*base),
+                        indices: self.exprs(indices),
+                    },
+                },
+                op: *op,
+                rhs: self.expr(rhs),
+                pos: *pos,
+            },
+            Stmt::If { cond, body } => RStmt::If {
+                cond: self.expr(cond),
+                body: self.block(body),
+            },
+            Stmt::For {
+                var,
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                let init = self.expr(init);
+                self.scopes.push(Vec::new());
+                let slot = self.declare(*var);
+                let cond = self.expr(cond);
+                let step = match step {
+                    Step::Inc => RStep::Inc,
+                    Step::Dec => RStep::Dec,
+                    Step::AddAssign(e) => RStep::AddAssign(self.expr(e)),
+                };
+                let body = self.block(body);
+                self.scopes.pop();
+                RStmt::For {
+                    slot,
+                    init,
+                    cond,
+                    step,
+                    body,
+                }
+            }
+            Stmt::Barrier { pos } => RStmt::Barrier { pos: *pos },
+            Stmt::Nop => RStmt::Nop,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ use gpu_sim::DeviceSpec;
 use inplane_core::plan::lower_step;
 use inplane_core::resources::vector_width;
 use inplane_core::{ComputeShape, KernelSpec, LaunchConfig};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use stencil_codegen::{generate_kernel, generate_opencl_kernel_full, SourceAnchor};
 
 /// Generate the CUDA kernel for `(spec, config)` and verify it against
@@ -350,25 +350,24 @@ fn phase_of(anchors: &[SourceAnchor], line: usize) -> Option<&'static str> {
 /// Fold one block's load/store events into the derived per-plane
 /// traffic map. Loads are grouped per (site, buffer row) — distinct
 /// blocks issue distinct transactions, so grouping never crosses a
-/// block — then maximal contiguous runs are counted with the same
-/// segment arithmetic as the oracle.
+/// block — by one sort of the block's `(site, row, address)` cells;
+/// then maximal contiguous runs are counted with the same segment
+/// arithmetic as the oracle.
 fn accumulate_traffic(events: &BlockEvents, env: &LaunchEnv, out: &mut KernelTraffic, seg: u64) {
-    let mut rows: BTreeMap<(Pos, i64), Vec<i64>> = BTreeMap::new();
+    let mut cells: Vec<(Pos, i64, i64)> = Vec::with_capacity(events.loads.len());
     for a in &events.loads {
         for lane in 0..a.len as i64 {
             let addr = a.addr + lane;
-            rows.entry((a.pos, addr / env.stride))
-                .or_default()
-                .push(addr);
+            cells.push((a.pos, addr / env.stride, addr));
         }
     }
-    for ((_site, _row), mut addrs) in rows {
-        addrs.sort_unstable();
-        let plane = (addrs[0] / env.pstride) as u64;
-        let entry = out.loads.entry(plane).or_default();
-        entry.cells += addrs.len() as u64;
-        let (mut start, mut prev) = (addrs[0], addrs[0]);
-        for &a in &addrs[1..] {
+    cells.sort_unstable();
+    for row in cells.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let first = row[0].2;
+        let entry = out.loads.entry((first / env.pstride) as u64).or_default();
+        entry.cells += row.len() as u64;
+        let (mut start, mut prev) = (first, first);
+        for &(_, _, a) in &row[1..] {
             if a == prev + 1 {
                 prev = a;
                 continue;
