@@ -28,7 +28,7 @@ use crate::regions::{Assignment, Region};
 use crate::resources::{block_resources, vector_width};
 use crate::routine::LoadPattern;
 use gpu_sim::plan::PlanePlan;
-use gpu_sim::WarpLoad;
+use gpu_sim::TrafficCounter;
 
 /// The load regions (in program order) for ONE streamed input grid,
 /// dispatched on the routine's [`LoadPattern`].
@@ -157,7 +157,9 @@ pub fn coeff_region(geom: &TileGeometry, vec_width: usize) -> Region {
 }
 
 /// Build the full per-plane workload of one interior block with
-/// `device`'s execution width and LDS bank geometry.
+/// `device`'s execution width, segment size and LDS bank geometry. The
+/// global traffic is counted as the regions generate it; the plan keeps
+/// the counts, not the lane addresses.
 pub fn build_plane_plan_on(
     kernel: &KernelSpec,
     config: &LaunchConfig,
@@ -169,10 +171,10 @@ pub fn build_plane_plan_on(
     let v = vector_width(kernel);
     let regions = load_regions(kernel.method, geom, v);
 
-    let mut loads: Vec<WarpLoad> = Vec::new();
+    let mut loads = TrafficCounter::new(device.segment_bytes);
     for _ in 0..kernel.streamed_inputs {
         for region in &regions {
-            loads.extend(region.lower(geom, warp_size));
+            region.count(geom, warp_size, &mut loads);
         }
     }
     // Coefficient grids are independent allocations both implementations
@@ -186,14 +188,15 @@ pub fn build_plane_plan_on(
     };
     let coeff = coeff_region(&aligned_geom, kernel.precision().max_vector_width());
     for _ in 0..kernel.coeff_inputs {
-        loads.extend(coeff.lower(&aligned_geom, warp_size));
+        coeff.count(&aligned_geom, warp_size, &mut loads);
     }
 
-    let mut stores: Vec<WarpLoad> = Vec::new();
+    let mut stores = TrafficCounter::new(device.segment_bytes);
     let store = store_region(geom);
     for _ in 0..kernel.outputs {
-        stores.extend(store.lower(geom, warp_size));
+        store.count(geom, warp_size, &mut stores);
     }
+    let counted = PlanePlan::counted(loads, stores);
 
     let points = (geom.wx * geom.wy) as u64;
     let flops = points * kernel.flops_per_point as u64;
@@ -202,7 +205,7 @@ pub fn build_plane_plan_on(
     // the 4r xy-neighbours plus the centre per computed point.
     let r = kernel.radius as u64;
     let warps = config.threads().div_ceil(warp_size) as u64;
-    let smem_stores = loads.len() as u64;
+    let smem_stores = counted.loads.len() as u64;
     let smem_reads = warps * config.points_per_thread() as u64 * (4 * r + 1);
     // Dependency depth of the load phase: one address-setup round per
     // program-order region (per streamed grid) — the §III-C1 argument for
@@ -225,8 +228,6 @@ pub fn build_plane_plan_on(
     );
 
     PlanePlan {
-        loads,
-        stores,
         smem_warp_instrs: smem_stores + smem_reads,
         bank_conflict_factor,
         flops,
@@ -236,6 +237,7 @@ pub fn build_plane_plan_on(
         // stage + reuse; 1 for double-buffered staging) — the same
         // count the lowered execution plan emits and LNT-S003 proves.
         syncthreads: kernel.method.skeleton(kernel.radius).barriers_per_plane as u64,
+        ..counted
     }
 }
 
@@ -271,7 +273,7 @@ pub fn plan_for_device_on(
 mod tests {
     use super::*;
     use crate::method::Variant;
-    use gpu_sim::MemCounters;
+    use gpu_sim::{MemCounters, WarpTraffic};
     use stencil_grid::Precision;
 
     fn geom(config: &LaunchConfig, r: usize) -> TileGeometry {
@@ -288,10 +290,8 @@ mod tests {
         gpu_sim::DeviceSpec::gtx580()
     }
 
-    fn counters(loads: &[WarpLoad]) -> MemCounters {
-        let mut c = MemCounters::default();
-        c.record_all(loads, 128);
-        c
+    fn counters(traffic: &[WarpTraffic]) -> MemCounters {
+        MemCounters::of(traffic, 128)
     }
 
     #[test]
@@ -351,16 +351,14 @@ mod tests {
             Method::InPlane(Variant::FullSlice),
         ] {
             let k = spec(method, 2 * r);
-            let plan = build_plane_plan_on(&k, &c, &g, &gtx580());
-            let mut covered: Vec<u64> = plan
-                .loads
-                .iter()
-                .flat_map(|l| {
-                    l.lane_addresses
-                        .iter()
-                        .flat_map(move |&a| (0..l.bytes_per_lane / 4).map(move |i| a + i * 4))
-                })
-                .collect();
+            let mut covered: Vec<u64> = Vec::new();
+            for region in load_regions(method, &g, vector_width(&k)) {
+                for l in region.lower(&g, 32) {
+                    for &a in &l.lane_addresses {
+                        covered.extend((0..l.bytes_per_lane / 4).map(|i| a + i * 4));
+                    }
+                }
+            }
             covered.sort_unstable();
             covered.dedup();
             for addr in &needed {
@@ -378,7 +376,7 @@ mod tests {
         let g = geom(&c, 2);
         let k = spec(Method::InPlane(Variant::FullSlice), 4);
         let plan = build_plane_plan_on(&k, &c, &g, &gtx580());
-        let requested: u64 = plan.loads.iter().map(|l| l.requested_bytes()).sum();
+        let requested: u64 = plan.loads.iter().map(|l| l.requested_bytes).sum();
         // Slab is 36 × 12; rows extend [30,66) → [28,68) = 40 wide.
         assert_eq!(requested, 40 * 12 * 4);
     }

@@ -22,7 +22,7 @@
 //! genuinely requested, exactly like the full-slice corners.
 
 use crate::layout::TileGeometry;
-use gpu_sim::WarpLoad;
+use gpu_sim::{TrafficCounter, WarpLoad};
 
 /// Thread-to-element assignment policy for a region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,90 +67,87 @@ impl Region {
         ((xe - xs).max(0) as usize) * ((ye - ys).max(0) as usize)
     }
 
-    /// Lower this region to warp instructions against `geom`.
+    /// Lower this region to warp instructions against `geom`, lane
+    /// addresses and all — the per-lane form the coalescing lint and the
+    /// tests read.
     pub fn lower(&self, geom: &TileGeometry, warp_size: usize) -> Vec<WarpLoad> {
+        let mut out = Vec::new();
+        self.for_each_instruction(geom, warp_size, |lanes, bytes_per_lane| {
+            out.push(WarpLoad {
+                lane_addresses: lanes.to_vec(),
+                bytes_per_lane,
+            })
+        });
+        out
+    }
+
+    /// Count this region's warp instructions into `counter` — the same
+    /// instructions as [`Region::lower`], with no lane address kept.
+    pub fn count(&self, geom: &TileGeometry, warp_size: usize, counter: &mut TrafficCounter) {
+        self.for_each_instruction(geom, warp_size, |lanes, bytes_per_lane| {
+            counter.record(lanes, bytes_per_lane)
+        });
+    }
+
+    /// The one address generator: call `emit(lane_addresses,
+    /// bytes_per_lane)` for each warp instruction in issue order, with
+    /// the lanes in one reused buffer.
+    fn for_each_instruction(
+        &self,
+        geom: &TileGeometry,
+        warp_size: usize,
+        mut emit: impl FnMut(&[u64], u64),
+    ) {
         let v = self.vector_width;
         let bytes_per_lane = geom.elem_bytes * v as u64;
         let (xs, xe) = self.extended_x();
         let (ys, ye) = self.y;
         if xs >= xe || ys >= ye {
-            return Vec::new();
+            return;
         }
         let width = (xe - xs) as usize;
         debug_assert_eq!(width % v, 0, "extended span must be a vector multiple");
         let vecs_per_row = width / v;
+        let rows = (ye - ys) as usize;
+        // Element address of vector granule `col` in region row `row`.
+        let addr = |col: usize, row: usize| geom.addr(xs + (col * v) as isize, ys + row as isize);
+        let mut lanes: Vec<u64> = Vec::with_capacity(warp_size);
 
         match self.assignment {
             Assignment::PerRow => {
-                let mut out = Vec::new();
-                for y in ys..ye {
-                    // One warp instruction per warp-sized group of vector
-                    // elements within the row.
+                // One warp instruction per warp-sized group of vector
+                // elements within each row.
+                for row in 0..rows {
                     let mut lane0 = 0usize;
                     while lane0 < vecs_per_row {
-                        let lanes = (vecs_per_row - lane0).min(warp_size);
-                        let addrs = (0..lanes)
-                            .map(|l| geom.addr(xs + ((lane0 + l) * v) as isize, y))
-                            .collect();
-                        out.push(WarpLoad {
-                            lane_addresses: addrs,
-                            bytes_per_lane,
-                        });
-                        lane0 += lanes;
+                        let n = (vecs_per_row - lane0).min(warp_size);
+                        lanes.clear();
+                        lanes.extend((lane0..lane0 + n).map(|col| addr(col, row)));
+                        emit(&lanes, bytes_per_lane);
+                        lane0 += n;
                     }
                 }
-                out
             }
-            Assignment::Packed => {
-                // Linearise row-major (vector granules), fill warps.
-                let total = vecs_per_row * (ye - ys) as usize;
-                let mut out = Vec::new();
-                let mut idx = 0usize;
-                while idx < total {
-                    let lanes = (total - idx).min(warp_size);
-                    let addrs = (0..lanes)
-                        .map(|l| {
-                            let g = idx + l;
-                            let row = g / vecs_per_row;
-                            let col = g % vecs_per_row;
-                            geom.addr(xs + (col * v) as isize, ys + row as isize)
-                        })
-                        .collect();
-                    out.push(WarpLoad {
-                        lane_addresses: addrs,
-                        bytes_per_lane,
-                    });
-                    idx += lanes;
-                }
-                out
-            }
-            Assignment::ColumnMajor => {
-                // Linearise y-fastest (walk down each halo column, then
-                // move to the next column): adjacent lanes land in
-                // different rows, so every instruction touches as many
-                // segments as it has distinct rows — the vertical
-                // variant's pathology. Scalar in practice (v = 1).
-                let rows = (ye - ys) as usize;
+            Assignment::Packed | Assignment::ColumnMajor => {
+                // Packed linearises row-major (vector granules) and fills
+                // warps across row boundaries. ColumnMajor linearises
+                // y-fastest (walk down each halo column, then move to the
+                // next): adjacent lanes land in different rows, so every
+                // instruction touches as many segments as it has distinct
+                // rows — the vertical variant's pathology. Scalar in
+                // practice (v = 1).
                 let total = vecs_per_row * rows;
-                let mut out = Vec::new();
                 let mut idx = 0usize;
                 while idx < total {
-                    let lanes = (total - idx).min(warp_size);
-                    let addrs = (0..lanes)
-                        .map(|l| {
-                            let g = idx + l;
-                            let col = g / rows;
-                            let row = g % rows;
-                            geom.addr(xs + (col * v) as isize, ys + row as isize)
-                        })
-                        .collect();
-                    out.push(WarpLoad {
-                        lane_addresses: addrs,
-                        bytes_per_lane,
-                    });
-                    idx += lanes;
+                    let n = (total - idx).min(warp_size);
+                    lanes.clear();
+                    lanes.extend((idx..idx + n).map(|g| match self.assignment {
+                        Assignment::ColumnMajor => addr(g / rows, g % rows),
+                        _ => addr(g % vecs_per_row, g / vecs_per_row),
+                    }));
+                    emit(&lanes, bytes_per_lane);
+                    idx += n;
                 }
-                out
             }
         }
     }
@@ -332,6 +329,32 @@ mod tests {
         };
         assert_eq!(total_tx(pr), 8);
         assert_eq!(total_tx(cm), 16);
+    }
+
+    #[test]
+    fn counting_equals_lowering_then_counting() {
+        let g = geom();
+        for assignment in [
+            Assignment::PerRow,
+            Assignment::Packed,
+            Assignment::ColumnMajor,
+        ] {
+            for (x, v) in [((26, 70), 1), ((30, 66), 4), ((-3, 5), 2)] {
+                let region = Region {
+                    x,
+                    y: (6, 15),
+                    vector_width: v,
+                    assignment,
+                };
+                let mut counted = TrafficCounter::new(128);
+                region.count(&g, 32, &mut counted);
+                let mut lowered = TrafficCounter::new(128);
+                for l in region.lower(&g, 32) {
+                    lowered.record_load(&l);
+                }
+                assert_eq!(counted.finish(), lowered.finish(), "{region:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! plan covers exactly the stencil footprint.
 
 use inplane_core::layout::TileGeometry;
-use inplane_core::loadplan::build_plane_plan_on;
+use inplane_core::loadplan::{build_plane_plan_on, load_regions, store_region};
+use inplane_core::resources::vector_width;
 use inplane_core::{execute_step, KernelSpec, LaunchConfig, Method, Variant};
 use proptest::prelude::*;
 use stencil_grid::{
@@ -49,9 +50,10 @@ proptest! {
         prop_assert!(max_abs_diff(&got, &golden) < 1e-13, "{method} diverged");
     }
 
-    /// Load-plan coverage: for any config the union of loaded addresses
-    /// contains the full stencil footprint (interior + 4 halo arms), and
-    /// stores cover exactly the tile.
+    /// Load-plan coverage: for any config the union of the addresses the
+    /// method's regions load contains the full stencil footprint
+    /// (interior + 4 halo arms), stores cover exactly the tile, and the
+    /// plan counts exactly those instructions.
     #[test]
     fn load_plans_cover_footprint(
         method in arb_method(),
@@ -65,9 +67,22 @@ proptest! {
         let spec = KernelSpec::star_order(method, 2 * radius, Precision::Single);
         let geom = TileGeometry::interior(&config, radius, 4, 2048, 128);
         let plan = build_plane_plan_on(&spec, &config, &geom, &gpu_sim::DeviceSpec::gtx580());
+        let loads: Vec<gpu_sim::WarpLoad> = load_regions(method, &geom, vector_width(&spec))
+            .iter()
+            .flat_map(|region| region.lower(&geom, 32))
+            .collect();
+        let stores = store_region(&geom).lower(&geom, 32);
+        prop_assert_eq!(
+            &plan.loads,
+            &loads.iter().map(|l| gpu_sim::WarpTraffic::of(l, 128)).collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            &plan.stores,
+            &stores.iter().map(|s| gpu_sim::WarpTraffic::of(s, 128)).collect::<Vec<_>>()
+        );
 
         let mut covered: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for l in &plan.loads {
+        for l in &loads {
             for &a in &l.lane_addresses {
                 for w in 0..(l.bytes_per_lane / 4) {
                     covered.insert(a + w * 4);
@@ -92,7 +107,7 @@ proptest! {
         }
         // Stores: exactly the tile, each point once.
         let stored: Vec<u64> =
-            plan.stores.iter().flat_map(|s| s.lane_addresses.iter().copied()).collect();
+            stores.iter().flat_map(|s| s.lane_addresses.iter().copied()).collect();
         prop_assert_eq!(stored.len(), geom.wx * geom.wy);
         let unique: std::collections::HashSet<u64> = stored.into_iter().collect();
         prop_assert_eq!(unique.len(), geom.wx * geom.wy);

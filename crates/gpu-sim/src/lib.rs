@@ -11,10 +11,11 @@
 //! compute-throughput gap — and this crate models exactly those
 //! mechanisms:
 //!
-//! * **Address-accurate coalescing** ([`mem`]): kernel variants hand the
-//!   simulator per-warp address lists; the memory model groups them into
-//!   aligned segments exactly as the hardware's load/store units do, which
-//!   is where the in-plane method's benefit comes from.
+//! * **Address-accurate coalescing** ([`mem`]): kernel variants generate
+//!   per-warp address lists; the memory model groups them into aligned
+//!   segments exactly as the hardware's load/store units do, which is
+//!   where the in-plane method's benefit comes from. Lowering counts each
+//!   instruction once, so plans carry transaction counts, not addresses.
 //! * **Occupancy** ([`occupancy`]): active blocks per SM from register,
 //!   shared-memory, warp-slot and block-slot limits with hardware
 //!   allocation granularities (Eqn (7) of the paper, with granularity).
@@ -46,7 +47,9 @@ pub mod timing;
 pub use counters::{LimitingFactor, SimReport};
 pub use device::{Architecture, DeviceSpec, LEGACY_COALESCE_SEGMENT_BYTES, LEGACY_SMEM_BANK_BYTES};
 pub use fnv::{fnv1a, fnv1a_bytes, fnv1a_word, FNV_OFFSET_BASIS};
-pub use mem::{coalesce_transactions, MemCounters, WarpLoad};
+pub use mem::{
+    coalesce_transactions, MemCounters, SegmentCounts, TrafficCounter, WarpLoad, WarpTraffic,
+};
 pub use microbench::measure_achieved_bandwidth;
 pub use microsim::{simulate_block_plane, MicrosimResult};
 pub use noise::{measurement_noise, measurement_noise_keyed, NoiseKey};
@@ -55,5 +58,5 @@ pub use plan::{BlockPlan, GridDims, LaunchGeometry, PlanePlan};
 pub use roofline::{
     attainable_gflops, intensity, mpoints_ceiling, regime, ridge_point, RooflineRegime,
 };
-pub use smem::{conflict_factor, stencil_phase_factor};
+pub use smem::stencil_phase_factor;
 pub use timing::{apply_noise, simulate, simulate_clean, SimOptions};

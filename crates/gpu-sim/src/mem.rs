@@ -8,9 +8,14 @@
 //! column loads touch one segment per element, while the in-plane
 //! full-slice pattern touches contiguous rows.
 //!
-//! Kernel variants hand the simulator [`WarpLoad`]s — the byte addresses
-//! of each active lane — and the memory model is the single place that
-//! decides what that costs.
+//! Lowering feeds each warp instruction's lane byte addresses to a
+//! [`TrafficCounter`], which counts them once into [`WarpTraffic`]
+//! (transactions and requested bytes) and [`SegmentCounts`] (for the L1
+//! duplicate charge) and keeps no lane addresses; plans carry only those
+//! counts. [`WarpLoad`] — one instruction's lane addresses — is the
+//! per-lane form hand-built plans, the coalescing lint and the tests use.
+//! Both go through the same segment loop, the single place that decides
+//! what an access costs.
 
 /// One warp-wide global-memory instruction: the byte address and width of
 /// every *active* lane's access. Inactive (predicated-off) lanes are
@@ -48,12 +53,32 @@ impl WarpLoad {
     }
 }
 
+/// Replace `out` with the distinct aligned segments a warp instruction's
+/// lanes touch, ascending — the one per-lane segment loop. A lane whose
+/// access straddles a segment boundary contributes every segment it
+/// touches, exactly how the hardware splits misaligned vector accesses.
+fn lane_segments(
+    lane_addresses: &[u64],
+    bytes_per_lane: u64,
+    segment_bytes: u64,
+    out: &mut Vec<u64>,
+) {
+    assert!(
+        segment_bytes.is_power_of_two(),
+        "segment size must be a power of two"
+    );
+    out.clear();
+    for &addr in lane_addresses {
+        let first = addr / segment_bytes;
+        let last = (addr + bytes_per_lane - 1) / segment_bytes;
+        out.extend(first..=last);
+    }
+    out.sort_unstable();
+    out.dedup();
+}
+
 /// Count the transactions (distinct aligned segments) a warp instruction
 /// generates for the given segment size.
-///
-/// A lane whose access straddles a segment boundary contributes every
-/// segment it touches — exactly how the hardware splits misaligned
-/// vector accesses.
 ///
 /// ```
 /// use gpu_sim::{coalesce_transactions, WarpLoad};
@@ -68,36 +93,14 @@ impl WarpLoad {
 /// assert_eq!(coalesce_transactions(&column, 128), 32);
 /// ```
 pub fn coalesce_transactions(load: &WarpLoad, segment_bytes: u64) -> usize {
-    assert!(
-        segment_bytes.is_power_of_two(),
-        "segment size must be a power of two"
+    let mut segments = Vec::with_capacity(load.lane_addresses.len());
+    lane_segments(
+        &load.lane_addresses,
+        load.bytes_per_lane,
+        segment_bytes,
+        &mut segments,
     );
-    let mut segments: Vec<u64> = Vec::with_capacity(load.lane_addresses.len());
-    for &addr in &load.lane_addresses {
-        let first = addr / segment_bytes;
-        let last = (addr + load.bytes_per_lane - 1) / segment_bytes;
-        for seg in first..=last {
-            segments.push(seg);
-        }
-    }
-    segments.sort_unstable();
-    segments.dedup();
     segments.len()
-}
-
-/// Per-instruction segment list (after intra-instruction coalescing).
-fn instruction_segments(load: &WarpLoad, segment_bytes: u64) -> Vec<u64> {
-    let mut segments: Vec<u64> = Vec::with_capacity(load.lane_addresses.len());
-    for &addr in &load.lane_addresses {
-        let first = addr / segment_bytes;
-        let last = (addr + load.bytes_per_lane - 1) / segment_bytes;
-        for seg in first..=last {
-            segments.push(seg);
-        }
-    }
-    segments.sort_unstable();
-    segments.dedup();
-    segments
 }
 
 /// DRAM bytes a set of load instructions costs within one block-plane,
@@ -109,17 +112,121 @@ fn instruction_segments(load: &WarpLoad, segment_bytes: u64) -> Vec<u64> {
 /// loads) versus Kepler, where global loads bypass L1 entirely
 /// (`dup_charge = 1.0` re-fetches every time). The profiler-level
 /// [`MemCounters`] stay pre-cache, as `nvprof`'s load-efficiency metric
-/// does.
+/// does. Plans carry the same quantity pre-counted
+/// ([`SegmentCounts::effective_bytes`]); this form takes lane addresses.
 pub fn effective_load_bytes(loads: &[WarpLoad], segment_bytes: u64, dup_charge: f64) -> f64 {
-    let mut all: Vec<u64> = Vec::new();
+    let mut counter = TrafficCounter::new(segment_bytes);
     for l in loads {
-        all.extend(instruction_segments(l, segment_bytes));
+        counter.record_load(l);
     }
-    let total = all.len() as f64;
-    all.sort_unstable();
-    all.dedup();
-    let unique = all.len() as f64;
-    (unique + (total - unique) * dup_charge) * segment_bytes as f64
+    counter
+        .finish()
+        .1
+        .effective_bytes(segment_bytes, dup_charge)
+}
+
+/// One warp memory instruction's traffic, counted once from its lane
+/// addresses: all the pricing layer reads of it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WarpTraffic {
+    /// Transactions: distinct aligned segments the lanes touch.
+    pub transactions: u64,
+    /// Bytes the lanes request.
+    pub requested_bytes: u64,
+}
+
+impl WarpTraffic {
+    /// Count `load` at `segment_bytes`.
+    pub fn of(load: &WarpLoad, segment_bytes: u64) -> Self {
+        WarpTraffic {
+            transactions: coalesce_transactions(load, segment_bytes) as u64,
+            requested_bytes: load.requested_bytes(),
+        }
+    }
+}
+
+/// Segment references of a set of load instructions, for the L1
+/// duplicate charge of [`effective_load_bytes`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SegmentCounts {
+    /// Sum over the instructions of the distinct segments each touches.
+    pub total: u64,
+    /// Distinct segments over all the instructions.
+    pub unique: u64,
+}
+
+impl SegmentCounts {
+    /// DRAM bytes: every distinct segment in full plus `dup_charge` per
+    /// repeated reference.
+    pub fn effective_bytes(&self, segment_bytes: u64, dup_charge: f64) -> f64 {
+        let (total, unique) = (self.total as f64, self.unique as f64);
+        (unique + (total - unique) * dup_charge) * segment_bytes as f64
+    }
+}
+
+/// Counts warp memory instructions as they are generated: per-instruction
+/// [`WarpTraffic`] plus the [`SegmentCounts`] over all of them. No lane
+/// address outlives the [`record`](TrafficCounter::record) call that
+/// counts it.
+#[derive(Clone, Debug)]
+pub struct TrafficCounter {
+    segment_bytes: u64,
+    instrs: Vec<WarpTraffic>,
+    /// Each instruction's distinct segments, concatenated.
+    segments: Vec<u64>,
+    /// The current instruction's segments.
+    scratch: Vec<u64>,
+}
+
+impl TrafficCounter {
+    /// An empty counter at `segment_bytes` (a power of two).
+    pub fn new(segment_bytes: u64) -> Self {
+        TrafficCounter {
+            segment_bytes,
+            instrs: Vec::new(),
+            segments: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The segment size this counter counts at.
+    pub fn segment_bytes(&self) -> u64 {
+        self.segment_bytes
+    }
+
+    /// Count one warp instruction whose active lanes access
+    /// `bytes_per_lane` bytes at `lane_addresses`.
+    pub fn record(&mut self, lane_addresses: &[u64], bytes_per_lane: u64) {
+        lane_segments(
+            lane_addresses,
+            bytes_per_lane,
+            self.segment_bytes,
+            &mut self.scratch,
+        );
+        self.segments.extend_from_slice(&self.scratch);
+        self.instrs.push(WarpTraffic {
+            transactions: self.scratch.len() as u64,
+            requested_bytes: lane_addresses.len() as u64 * bytes_per_lane,
+        });
+    }
+
+    /// Count one [`WarpLoad`].
+    pub fn record_load(&mut self, load: &WarpLoad) {
+        self.record(&load.lane_addresses, load.bytes_per_lane);
+    }
+
+    /// The per-instruction traffic, in recording order, and the segment
+    /// references over all of it.
+    pub fn finish(mut self) -> (Vec<WarpTraffic>, SegmentCounts) {
+        let total = self.segments.len() as u64;
+        self.segments.sort_unstable();
+        self.segments.dedup();
+        let counts = SegmentCounts {
+            total,
+            unique: self.segments.len() as u64,
+        };
+        (self.instrs, counts)
+    }
 }
 
 /// Aggregated traffic counters for a set of memory instructions — the
@@ -138,13 +245,26 @@ pub struct MemCounters {
 }
 
 impl MemCounters {
+    /// Account one counted warp instruction (counted at `segment_bytes`).
+    pub fn add(&mut self, traffic: &WarpTraffic, segment_bytes: u64) {
+        self.instructions += 1;
+        self.transactions += traffic.transactions;
+        self.requested_bytes += traffic.requested_bytes;
+        self.transferred_bytes += traffic.transactions * segment_bytes;
+    }
+
+    /// Counters over counted warp instructions.
+    pub fn of(traffic: &[WarpTraffic], segment_bytes: u64) -> Self {
+        let mut c = MemCounters::default();
+        for t in traffic {
+            c.add(t, segment_bytes);
+        }
+        c
+    }
+
     /// Account one warp instruction.
     pub fn record(&mut self, load: &WarpLoad, segment_bytes: u64) {
-        let tx = coalesce_transactions(load, segment_bytes) as u64;
-        self.instructions += 1;
-        self.transactions += tx;
-        self.requested_bytes += load.requested_bytes();
-        self.transferred_bytes += tx * segment_bytes;
+        self.add(&WarpTraffic::of(load, segment_bytes), segment_bytes);
     }
 
     /// Account a whole slice of warp instructions.
@@ -311,6 +431,41 @@ mod tests {
             b.record(l, 128);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn counter_matches_per_load_counting() {
+        let loads = vec![
+            WarpLoad::contiguous(0, 32, 4),
+            WarpLoad::contiguous(64, 32, 4),
+            WarpLoad {
+                lane_addresses: (0..8).map(|l| l * 2048 + 120).collect(),
+                bytes_per_lane: 16,
+            },
+        ];
+        let mut counter = TrafficCounter::new(128);
+        for l in &loads {
+            counter.record_load(l);
+        }
+        let (traffic, segments) = counter.finish();
+        let per_load: Vec<WarpTraffic> = loads.iter().map(|l| WarpTraffic::of(l, 128)).collect();
+        assert_eq!(traffic, per_load);
+        let mut reference = MemCounters::default();
+        reference.record_all(&loads, 128);
+        assert_eq!(MemCounters::of(&traffic, 128), reference);
+        // Segment 0 is read by all three loads, segment 1 by the last
+        // two; each strided lane straddles two segments.
+        assert_eq!(
+            segments,
+            SegmentCounts {
+                total: 1 + 2 + 16,
+                unique: 2 + 14
+            }
+        );
+        assert_eq!(
+            segments.effective_bytes(128, 0.25),
+            effective_load_bytes(&loads, 128, 0.25)
+        );
     }
 
     #[test]

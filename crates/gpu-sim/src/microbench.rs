@@ -14,9 +14,10 @@ use crate::occupancy::BlockResources;
 use crate::plan::{BlockPlan, GridDims, LaunchGeometry, PlanePlan};
 use crate::timing::{simulate, SimOptions};
 
-/// Build a copy-kernel plan: each 256-thread block streams `words_per
-/// thread` SP words in and out per plane with perfect coalescing.
-fn copy_plan(elem_bytes: usize) -> (BlockPlan, GridDims) {
+/// Build a copy-kernel plan: each 256-thread block streams four
+/// `elem_bytes` words per thread in and out per plane with perfect
+/// coalescing, counted at `device`'s segment size.
+fn copy_plan(device: &DeviceSpec, elem_bytes: usize) -> (BlockPlan, GridDims) {
     let dims = GridDims::new(1024, 1024, 64);
     let threads = 256usize;
     let blocks = dims.lx * dims.ly / (threads * 4); // 4 elements per thread
@@ -24,7 +25,7 @@ fn copy_plan(elem_bytes: usize) -> (BlockPlan, GridDims) {
     let loads: Vec<WarpLoad> = (0..warps * 4)
         .map(|w| WarpLoad::contiguous(w as u64 * 32 * elem_bytes as u64, 32, elem_bytes as u64))
         .collect();
-    let stores = loads
+    let stores: Vec<WarpLoad> = loads
         .iter()
         .map(|l| WarpLoad {
             lane_addresses: l.lane_addresses.iter().map(|a| a + (1 << 26)).collect(),
@@ -33,14 +34,8 @@ fn copy_plan(elem_bytes: usize) -> (BlockPlan, GridDims) {
         .collect();
     let plan = BlockPlan {
         plane: PlanePlan {
-            loads,
-            stores,
-            smem_warp_instrs: 0,
-            bank_conflict_factor: 1.0,
-            flops: 0,
-            dependent_rounds: 1.0,
             ilp: 4.0,
-            syncthreads: 0,
+            ..PlanePlan::from_warp_loads(&loads, &stores, device.segment_bytes)
         },
         resources: BlockResources {
             threads,
@@ -60,7 +55,7 @@ fn copy_plan(elem_bytes: usize) -> (BlockPlan, GridDims) {
 /// "Measure" the streaming bandwidth of `device` in GB/s, as the paper
 /// did for Table III's achieved-throughput numbers.
 pub fn measure_achieved_bandwidth(device: &DeviceSpec) -> f64 {
-    let (plan, dims) = copy_plan(4);
+    let (plan, dims) = copy_plan(device, 4);
     let rep = simulate(
         device,
         &plan,
@@ -97,9 +92,10 @@ mod tests {
 
     #[test]
     fn copy_kernel_is_memory_bound() {
-        let (plan, dims) = copy_plan(4);
+        let dev = DeviceSpec::gtx580();
+        let (plan, dims) = copy_plan(&dev, 4);
         let rep = simulate(
-            &DeviceSpec::gtx580(),
+            &dev,
             &plan,
             &dims,
             &SimOptions {
@@ -116,8 +112,8 @@ mod tests {
 
     #[test]
     fn dp_copy_also_saturates() {
-        let (plan, dims) = copy_plan(8);
         let dev = DeviceSpec::c2070();
+        let (plan, dims) = copy_plan(&dev, 8);
         let rep = simulate(
             &dev,
             &plan,

@@ -13,7 +13,6 @@
 //! exists.
 
 use crate::device::DeviceSpec;
-use crate::mem::MemCounters;
 use crate::plan::BlockPlan;
 
 /// One warp-level instruction in the microsim's stream.
@@ -50,24 +49,22 @@ fn warp_stream(device: &DeviceSpec, plan: &BlockPlan, warp: usize, warps: usize)
     // own loads are partitioned into `rounds` dependent groups (round
     // g+1 cannot issue before round g's data arrived — the address
     // dependency of multi-phase loading).
-    let my_loads: Vec<&crate::mem::WarpLoad> = plane
+    let my_loads: Vec<u64> = plane
         .loads
         .iter()
-        .enumerate()
-        .filter(|(i, _)| i % warps == warp)
-        .map(|(_, l)| l)
+        .skip(warp)
+        .step_by(warps)
+        .map(|l| l.transactions)
         .collect();
     let per_warp = my_loads.len();
     let mut stream = Vec::new();
-    for (j, l) in my_loads.into_iter().enumerate() {
-        let mut ctr = MemCounters::default();
-        ctr.record(l, device.segment_bytes);
+    for (j, transactions) in my_loads.into_iter().enumerate() {
         let round = (j * rounds)
             .checked_div(per_warp)
             .unwrap_or(0)
             .min(rounds - 1);
         stream.push(Instr::Load {
-            bytes: ctr.transactions as f64 * seg,
+            bytes: transactions as f64 * seg,
             round,
         });
     }
@@ -85,26 +82,27 @@ fn warp_stream(device: &DeviceSpec, plan: &BlockPlan, warp: usize, warps: usize)
     let fma_instrs = flops_per_warp / (device.warp_size as f64 * 2.0);
     stream.push(Instr::Alu { n: fma_instrs });
     // Stores, then the end-of-plane barrier.
-    for (i, s) in plane.stores.iter().enumerate() {
-        if i % warps == warp {
-            let mut ctr = MemCounters::default();
-            ctr.record(s, device.segment_bytes);
-            stream.push(Instr::Store {
-                bytes: ctr.transactions as f64 * seg,
-            });
-        }
+    for s in plane.stores.iter().skip(warp).step_by(warps) {
+        stream.push(Instr::Store {
+            bytes: s.transactions as f64 * seg,
+        });
     }
     stream.push(Instr::Barrier);
     stream
 }
 
 /// Execute `resident` copies of the plan's block for one plane on one SM.
+///
+/// # Panics
+/// If `resident` is zero, or the plan's traffic was counted at a segment
+/// size other than `device.segment_bytes`.
 pub fn simulate_block_plane(
     device: &DeviceSpec,
     plan: &BlockPlan,
     resident: usize,
 ) -> MicrosimResult {
     assert!(resident >= 1, "need at least one resident block");
+    plan.plane.assert_counted_for(device);
     let warps_per_block = plan.resources.threads.div_ceil(device.warp_size);
     let lsu_cost = device.lsu_cycles_per_warp_instr();
     let bytes_per_cycle = device.bytes_per_cycle_per_sm();
@@ -248,16 +246,16 @@ mod tests {
     fn streaming_plan(n_loads: usize) -> BlockPlan {
         BlockPlan {
             plane: PlanePlan {
-                loads: (0..n_loads)
-                    .map(|i| WarpLoad::contiguous(i as u64 * 128, 32, 4))
-                    .collect(),
-                stores: vec![WarpLoad::contiguous(1 << 22, 32, 4); 4],
                 smem_warp_instrs: 8,
-                bank_conflict_factor: 1.0,
                 flops: 10_000,
-                dependent_rounds: 1.0,
-                ilp: 1.0,
                 syncthreads: 2,
+                ..PlanePlan::from_warp_loads(
+                    &(0..n_loads)
+                        .map(|i| WarpLoad::contiguous(i as u64 * 128, 32, 4))
+                        .collect::<Vec<_>>(),
+                    &vec![WarpLoad::contiguous(1 << 22, 32, 4); 4],
+                    128,
+                )
             },
             resources: BlockResources {
                 threads: 256,

@@ -8,7 +8,8 @@
 //! kernel to the simulator. Kernel variants in `inplane-core` construct
 //! these; [`crate::timing::simulate`] prices them.
 
-use crate::mem::WarpLoad;
+use crate::device::DeviceSpec;
+use crate::mem::{SegmentCounts, TrafficCounter, WarpLoad, WarpTraffic};
 use crate::occupancy::BlockResources;
 
 /// Problem-grid dimensions (`LX × LY × LZ` in the paper).
@@ -56,12 +57,21 @@ pub struct LaunchGeometry {
 }
 
 /// Warp-level workload of one thread block on one z-plane.
+///
+/// Global-memory traffic is counted once, at lowering, against
+/// [`segment_bytes`](PlanePlan::segment_bytes): the plan holds counts per
+/// instruction and no lane addresses.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlanePlan {
-    /// Global-memory load instructions (per warp, address-accurate).
-    pub loads: Vec<WarpLoad>,
-    /// Global-memory store instructions.
-    pub stores: Vec<WarpLoad>,
+    /// Global-memory load instructions in program order, counted
+    /// (address-accurate, per warp instruction).
+    pub loads: Vec<WarpTraffic>,
+    /// Global-memory store instructions, counted.
+    pub stores: Vec<WarpTraffic>,
+    /// Segment references of all the loads, for the L1 duplicate charge.
+    pub load_segments: SegmentCounts,
+    /// Segment size, in bytes, the traffic was counted at.
+    pub segment_bytes: u64,
     /// Shared-memory access warp instructions (stores into the staging
     /// buffer plus neighbour reads during compute).
     pub smem_warp_instrs: u64,
@@ -83,9 +93,62 @@ pub struct PlanePlan {
 }
 
 impl PlanePlan {
+    /// The counted traffic of `loads` and `stores` (which must count at
+    /// the same segment size), with no shared-memory work, no flops, one
+    /// dependent round, ILP 1 and no barriers. Lowering fills in the
+    /// remaining fields with struct-update syntax.
+    pub fn counted(loads: TrafficCounter, stores: TrafficCounter) -> PlanePlan {
+        let segment_bytes = loads.segment_bytes();
+        assert_eq!(
+            stores.segment_bytes(),
+            segment_bytes,
+            "loads and stores must be counted at one segment size"
+        );
+        let (loads, load_segments) = loads.finish();
+        let (stores, _) = stores.finish();
+        PlanePlan {
+            loads,
+            stores,
+            load_segments,
+            segment_bytes,
+            smem_warp_instrs: 0,
+            bank_conflict_factor: 1.0,
+            flops: 0,
+            dependent_rounds: 1.0,
+            ilp: 1.0,
+            syncthreads: 0,
+        }
+    }
+
+    /// [`PlanePlan::counted`] from hand-built lane addresses.
+    pub fn from_warp_loads(
+        loads: &[WarpLoad],
+        stores: &[WarpLoad],
+        segment_bytes: u64,
+    ) -> PlanePlan {
+        let count = |instrs: &[WarpLoad]| {
+            let mut counter = TrafficCounter::new(segment_bytes);
+            for l in instrs {
+                counter.record_load(l);
+            }
+            counter
+        };
+        PlanePlan::counted(count(loads), count(stores))
+    }
+
     /// Total warp-level memory instructions (loads + stores).
     pub fn mem_instructions(&self) -> u64 {
         (self.loads.len() + self.stores.len()) as u64
+    }
+
+    /// Panic unless the traffic was counted at `device`'s segment size:
+    /// transaction counts do not convert between segment sizes.
+    pub(crate) fn assert_counted_for(&self, device: &DeviceSpec) {
+        assert_eq!(
+            self.segment_bytes, device.segment_bytes,
+            "plan traffic was counted at {} B segments; {} uses {} B",
+            self.segment_bytes, device.name, device.segment_bytes
+        );
     }
 }
 
@@ -128,32 +191,26 @@ mod tests {
 
     #[test]
     fn mem_instruction_count() {
-        let plan = PlanePlan {
-            loads: vec![WarpLoad::contiguous(0, 32, 4); 3],
-            stores: vec![WarpLoad::contiguous(0, 32, 4); 2],
-            smem_warp_instrs: 0,
-            bank_conflict_factor: 1.0,
-            flops: 100,
-            dependent_rounds: 1.0,
-            ilp: 1.0,
-            syncthreads: 1,
-        };
+        let plan = PlanePlan::from_warp_loads(
+            &vec![WarpLoad::contiguous(0, 32, 4); 3],
+            &vec![WarpLoad::contiguous(0, 32, 4); 2],
+            128,
+        );
         assert_eq!(plan.mem_instructions(), 5);
+        // Three references to one segment.
+        assert_eq!(
+            plan.load_segments,
+            SegmentCounts {
+                total: 3,
+                unique: 1
+            }
+        );
     }
 
     #[test]
     fn points_per_block_plane() {
         let plan = BlockPlan {
-            plane: PlanePlan {
-                loads: vec![],
-                stores: vec![],
-                smem_warp_instrs: 0,
-                bank_conflict_factor: 1.0,
-                flops: 0,
-                dependent_rounds: 1.0,
-                ilp: 1.0,
-                syncthreads: 0,
-            },
+            plane: PlanePlan::from_warp_loads(&[], &[], 128),
             resources: BlockResources {
                 threads: 256,
                 regs_per_thread: 16,

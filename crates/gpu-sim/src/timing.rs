@@ -128,9 +128,43 @@ pub fn latency_hiding_fraction_saturating(device: &DeviceSpec, parallelism: f64)
     (1.0 - (-(parallelism - 1.0).max(0.0) / scale).exp()).clamp(0.0, 1.0)
 }
 
+/// One block-plane's traffic, read once from the plan's counts.
+struct PlaneTraffic {
+    /// Profiler counters over the loads and stores.
+    counters: MemCounters,
+    /// DRAM bytes: loads after the L1 duplicate charge, stores per
+    /// transaction.
+    dram_bytes: f64,
+}
+
+impl PlaneTraffic {
+    /// Loads get cache credit for duplicate segment references (Fermi
+    /// L1); stores write through and pay per transaction.
+    fn of(device: &DeviceSpec, plan: &BlockPlan) -> Self {
+        let plane = &plan.plane;
+        plane.assert_counted_for(device);
+        let seg = device.segment_bytes;
+        let stores = MemCounters::of(&plane.stores, seg);
+        let mut counters = MemCounters::of(&plane.loads, seg);
+        counters.merge(&stores);
+        let dram_bytes = plane
+            .load_segments
+            .effective_bytes(seg, device.l1_dup_charge)
+            + stores.transferred_bytes as f64;
+        PlaneTraffic {
+            counters,
+            dram_bytes,
+        }
+    }
+}
+
 /// Per-plane cycle cost for `resident` blocks of this plan on one SM,
 /// with the default (linear) hiding model.
 /// Returns `(cycles, limiting_factor)`.
+///
+/// # Panics
+/// If the plan's traffic was counted at a segment size other than
+/// `device.segment_bytes`.
 pub fn plane_cycles(
     device: &DeviceSpec,
     plan: &BlockPlan,
@@ -140,30 +174,38 @@ pub fn plane_cycles(
 }
 
 /// Per-plane cycle cost under an explicit hiding model.
+///
+/// # Panics
+/// As [`plane_cycles`].
 pub fn plane_cycles_with(
     device: &DeviceSpec,
     plan: &BlockPlan,
     resident: usize,
     hiding: HidingModel,
 ) -> (f64, LimitingFactor) {
+    plane_cycles_of(
+        device,
+        plan,
+        &PlaneTraffic::of(device, plan),
+        resident,
+        hiding,
+    )
+}
+
+/// [`plane_cycles_with`] over traffic already read from the plan.
+fn plane_cycles_of(
+    device: &DeviceSpec,
+    plan: &BlockPlan,
+    traffic: &PlaneTraffic,
+    resident: usize,
+    hiding: HidingModel,
+) -> (f64, LimitingFactor) {
     let a = resident as f64;
     let plane = &plan.plane;
 
-    // Per-block per-plane traffic (address-accurate). Loads get cache
-    // credit for duplicate segment references (Fermi L1); stores write
-    // through and pay per transaction.
-    let mut per_block = MemCounters::default();
-    per_block.record_all(&plane.loads, device.segment_bytes);
-    per_block.record_all(&plane.stores, device.segment_bytes);
-    let mut store_ctr = MemCounters::default();
-    store_ctr.record_all(&plane.stores, device.segment_bytes);
-    let dram_bytes =
-        crate::mem::effective_load_bytes(&plane.loads, device.segment_bytes, device.l1_dup_charge)
-            + store_ctr.transferred_bytes as f64;
+    let mem_cycles = traffic.dram_bytes * a / device.bytes_per_cycle_per_sm();
 
-    let mem_cycles = dram_bytes * a / device.bytes_per_cycle_per_sm();
-
-    let global_instrs = per_block.instructions as f64;
+    let global_instrs = traffic.counters.instructions as f64;
     let smem_instrs = plane.smem_warp_instrs as f64 * plane.bank_conflict_factor;
     let lsu_cycles = (global_instrs + smem_instrs) * a * device.lsu_cycles_per_warp_instr();
 
@@ -241,12 +283,17 @@ pub fn apply_noise(report: &mut SimReport, key: NoiseKey, seed: u64, amplitude: 
 /// are ignored (only the fields covered by
 /// [`SimOptions::pricing_fingerprint`] matter), which is what makes the
 /// result safely memoizable.
+///
+/// # Panics
+/// If the plan's traffic was counted at a segment size other than
+/// `device.segment_bytes`.
 pub fn simulate_clean(
     device: &DeviceSpec,
     plan: &BlockPlan,
     dims: &GridDims,
     opts: &SimOptions,
 ) -> SimReport {
+    let traffic = PlaneTraffic::of(device, plan);
     let occ: Occupancy = active_blocks(device, &plan.resources);
     if occ.active_blocks == 0 {
         return SimReport::infeasible(dims.points(), occ);
@@ -262,9 +309,9 @@ pub fn simulate_clean(
     let rem_per_sm = rem_blocks_total.div_ceil(device.sm_count);
 
     let (full_cycles, limiting_full) =
-        plane_cycles_with(device, plan, occ.active_blocks, opts.hiding);
+        plane_cycles_of(device, plan, &traffic, occ.active_blocks, opts.hiding);
     let (rem_cycles, limiting_rem) =
-        plane_cycles_with(device, plan, rem_per_sm.max(1), opts.hiding);
+        plane_cycles_of(device, plan, &traffic, rem_per_sm.max(1), opts.hiding);
     let barrier = plan.plane.syncthreads as f64 * opts.barrier_cycles;
 
     let total_cycles =
@@ -272,10 +319,7 @@ pub fn simulate_clean(
     let time_s = total_cycles / device.clock_hz() + opts.launch_overhead_s;
 
     // Whole-sweep traffic: every block runs every plane.
-    let mut per_block = MemCounters::default();
-    per_block.record_all(&plan.plane.loads, device.segment_bytes);
-    per_block.record_all(&plan.plane.stores, device.segment_bytes);
-    let mem = per_block.scaled(blocks as u64 * planes);
+    let mem = traffic.counters.scaled(blocks as u64 * planes);
 
     let flops = plan.plane.flops * blocks as u64 * planes;
 
@@ -306,19 +350,20 @@ mod tests {
     /// A simple streaming plan: `n_loads` coalesced SP warp loads and one
     /// coalesced store per plane, per block of 256 threads.
     fn stream_plan(n_loads: usize, flops: u64) -> BlockPlan {
-        let loads = (0..n_loads)
+        let loads: Vec<WarpLoad> = (0..n_loads)
             .map(|i| WarpLoad::contiguous(i as u64 * 128, 32, 4))
             .collect();
+        plan_of(&loads, flops)
+    }
+
+    /// A 256-thread block issuing `loads` and one coalesced store per
+    /// plane, counted at the GTX580's 128-byte segments.
+    fn plan_of(loads: &[WarpLoad], flops: u64) -> BlockPlan {
         BlockPlan {
             plane: PlanePlan {
-                loads,
-                stores: vec![WarpLoad::contiguous(1 << 20, 32, 4)],
-                smem_warp_instrs: 0,
-                bank_conflict_factor: 1.0,
                 flops,
-                dependent_rounds: 1.0,
-                ilp: 1.0,
                 syncthreads: 1,
+                ..PlanePlan::from_warp_loads(loads, &[WarpLoad::contiguous(1 << 20, 32, 4)], 128)
             },
             resources: BlockResources {
                 threads: 256,
@@ -403,14 +448,14 @@ mod tests {
     #[test]
     fn poor_coalescing_is_slower_than_good() {
         let good = stream_plan(8, 100);
-        let mut bad = good.clone();
         // Same requested bytes, but strided: one transaction per lane.
-        bad.plane.loads = (0..8)
+        let strided: Vec<WarpLoad> = (0..8)
             .map(|i| WarpLoad {
                 lane_addresses: (0..32u64).map(|l| (i * 32 + l) * 2048).collect(),
                 bytes_per_lane: 4,
             })
             .collect();
+        let bad = plan_of(&strided, 100);
         let dev = DeviceSpec::gtx580();
         let o = SimOptions::default();
         let t_good = simulate(&dev, &good, &GridDims::paper(), &o).time_s;
@@ -610,6 +655,18 @@ mod tests {
             ..SimOptions::default()
         };
         assert_ne!(base.pricing_fingerprint(), overhead.pricing_fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "counted at 128 B segments")]
+    fn pricing_on_another_segment_size_panics() {
+        let plan = stream_plan(2, 10);
+        simulate_clean(
+            &DeviceSpec::gtx680(),
+            &plan,
+            &GridDims::paper(),
+            &SimOptions::default(),
+        );
     }
 
     #[test]

@@ -237,12 +237,16 @@ impl SharedCells {
     }
 }
 
-struct ExecError {
-    msg: String,
+/// Why a thread stopped early.
+enum ExecError {
+    /// The program could not be evaluated (K006 `Eval`).
+    Eval(String),
+    /// The per-thread step budget ran out (K006 `Budget`).
+    Budget(&'static str),
 }
 
 fn ee(msg: impl Into<String>) -> ExecError {
-    ExecError { msg: msg.into() }
+    ExecError::Eval(msg.into())
 }
 
 type EResult<T> = Result<T, ExecError>;
@@ -716,7 +720,7 @@ impl<'p> Interp<'p> {
     fn exec_stmt(&mut self, t: &mut Thread<'p>, s: &'p RStmt) -> EResult<()> {
         t.steps += 1;
         if t.steps > self.env.step_budget {
-            return Err(ee("per-thread statement budget exhausted"));
+            return Err(ExecError::Budget("per-thread statement budget exhausted"));
         }
         match s {
             RStmt::Nop => Ok(()),
@@ -897,7 +901,9 @@ impl<'p> Interp<'p> {
         loop {
             t.steps += 1;
             if t.steps > self.env.step_budget {
-                return Err(ee("per-thread statement budget exhausted in a loop"));
+                return Err(ExecError::Budget(
+                    "per-thread statement budget exhausted in a loop",
+                ));
             }
             let c = self.eval(t, cond)?;
             if self.to_int(c)? == 0 {
@@ -1116,12 +1122,11 @@ pub fn run_block(kernel: &Kernel, env: &LaunchEnv, bx: i64, by: i64) -> BlockEve
             }
         }
         if let Err(e) = it.exec_stmts(&mut t, &p.body) {
-            let kind = if e.msg.contains("budget") {
-                ViolationKind::Budget
-            } else {
-                ViolationKind::Eval
+            let (kind, msg) = match &e {
+                ExecError::Eval(msg) => (ViolationKind::Eval, msg.as_str()),
+                ExecError::Budget(msg) => (ViolationKind::Budget, *msg),
             };
-            it.violate(kind, t.cur_pos, || format!("thread {id}: {}", e.msg));
+            it.violate(kind, t.cur_pos, || format!("thread {id}: {msg}"));
         }
         // Thread 0's barrier sequence is the canonical one.
         if id == 0 {
@@ -1295,6 +1300,23 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.kind == ViolationKind::Budget));
+    }
+
+    #[test]
+    fn an_unknown_variable_named_budget_is_an_eval_error() {
+        let ev = run(
+            "void k(const float* in, float* out) {\n\
+             out[0] = budget;\n\
+             }",
+            &env2(),
+        );
+        let kinds: Vec<ViolationKind> = ev.violations.iter().map(|v| v.kind).collect();
+        assert!(kinds.contains(&ViolationKind::Eval), "{:?}", ev.violations);
+        assert!(
+            !kinds.contains(&ViolationKind::Budget),
+            "{:?}",
+            ev.violations
+        );
     }
 
     #[test]

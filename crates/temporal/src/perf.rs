@@ -10,7 +10,7 @@
 
 use gpu_sim::occupancy::BlockResources;
 use gpu_sim::plan::{BlockPlan, GridDims, LaunchGeometry, PlanePlan};
-use gpu_sim::{apply_noise, DeviceSpec, SimOptions, SimReport};
+use gpu_sim::{apply_noise, DeviceSpec, SimOptions, SimReport, TrafficCounter};
 use inplane_core::layout::TileGeometry;
 use inplane_core::regions::{Assignment, Region};
 use inplane_core::resources::BASE_REGS;
@@ -68,7 +68,8 @@ pub fn temporal_plan(
         vector_width: vw,
         assignment: Assignment::Packed,
     };
-    let loads = slab.lower(&geom, device.warp_size);
+    let mut loads = TrafficCounter::new(device.segment_bytes);
+    slab.count(&geom, device.warp_size, &mut loads);
 
     // Stores: the tile, coalesced rows.
     let store = Region {
@@ -77,7 +78,9 @@ pub fn temporal_plan(
         vector_width: 1,
         assignment: Assignment::PerRow,
     };
-    let stores = store.lower(&geom, device.warp_size);
+    let mut stores = TrafficCounter::new(device.segment_bytes);
+    store.count(&geom, device.warp_size, &mut stores);
+    let counted = PlanePlan::counted(loads, stores);
 
     // Compute: T steps over shrinking shells.
     let flops: u64 = (1..=config.t_steps)
@@ -106,14 +109,12 @@ pub fn temporal_plan(
 
     BlockPlan {
         plane: PlanePlan {
-            smem_warp_instrs: loads.len() as u64 + smem_reads,
-            loads,
-            stores,
-            bank_conflict_factor: 1.0,
+            smem_warp_instrs: counted.loads.len() as u64 + smem_reads,
             flops,
             dependent_rounds: config.t_steps as f64, // step-to-step dependency chain
             ilp: config.launch.points_per_thread() as f64,
             syncthreads: 2 * config.t_steps as u64, // two barriers per time step
+            ..counted
         },
         resources: BlockResources {
             threads: config.launch.threads(),

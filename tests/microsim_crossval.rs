@@ -82,8 +82,10 @@ fn microsim_byte_counts_match_the_plan() {
     let spec = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 4, Precision::Single);
     let plan = build_block_plan(&dev, &spec, &LaunchConfig::new(64, 8, 1, 1), dims);
     let micro = simulate_block_plane(&dev, &plan, 2);
-    let mut ctr = gpu_sim::MemCounters::default();
-    ctr.record_all(&plan.plane.loads, dev.segment_bytes);
-    ctr.record_all(&plan.plane.stores, dev.segment_bytes);
+    let mut ctr = gpu_sim::MemCounters::of(&plan.plane.loads, dev.segment_bytes);
+    ctr.merge(&gpu_sim::MemCounters::of(
+        &plan.plane.stores,
+        dev.segment_bytes,
+    ));
     assert!((micro.mem_bytes - 2.0 * ctr.transferred_bytes as f64).abs() < 1e-6);
 }
