@@ -1,6 +1,7 @@
 //! Helpers shared by the kernel-verifier integration suites: the
 //! mutation-site universe of emitted kernel sources and the one-edit
-//! mutations over it.
+//! mutations over it, and the random byte edits of the robustness and
+//! digest corpora.
 //!
 //! A site is a standalone numeral on a `#define` line, a numeral inside
 //! the subscript chain of a memory base the verifier reasons about
@@ -185,4 +186,41 @@ pub fn apply(src: &str, site: Site, barrier_stmt: &str) -> Option<String> {
             ))
         }
     }
+}
+
+/// Bytes a random edit writes: the digits and punctuation that change a
+/// C kernel's structure, and a few letters to break identifiers.
+pub const C_BYTES: &[u8] = b"0123456789[](){};,+-*/%&<>=!._ \n#xyzR";
+
+/// One random byte edit `(at, byte, op)`: `at` picks the position
+/// (modulo the length plus one), `byte` the written byte (modulo
+/// [`C_BYTES`]), and `op` the edit.
+pub type Edit = (u64, u8, u8);
+
+/// Apply `edits` in order to `source`. Ops 0, 1 and 2 overwrite,
+/// insert or delete one byte; op 3 changes the next digit at or after
+/// the position, the edit most likely to parse and reach the
+/// interpreter. Other ops, and overwrites or deletes past the end, do
+/// nothing.
+pub fn apply_edits(source: &str, edits: &[Edit]) -> String {
+    let mut bytes = source.as_bytes().to_vec();
+    for &(at, b, op) in edits {
+        let b = C_BYTES[b as usize % C_BYTES.len()];
+        let at = (at % (bytes.len() as u64 + 1)) as usize;
+        match op {
+            0 if at < bytes.len() => bytes[at] = b,
+            1 => bytes.insert(at, b),
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            3 => {
+                if let Some(d) = bytes[at..].iter().position(u8::is_ascii_digit) {
+                    let d = at + d;
+                    bytes[d] = b'0' + (bytes[d] - b'0' + 1 + b % 9) % 10;
+                }
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
 }

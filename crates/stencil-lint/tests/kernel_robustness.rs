@@ -13,17 +13,13 @@
 
 mod common;
 
-use common::METHODS;
+use common::{apply_edits, METHODS};
 use gpu_sim::DeviceSpec;
 use inplane_core::{KernelSpec, LaunchConfig};
 use proptest::prelude::*;
 use stencil_codegen::{generate_kernel, generate_opencl_kernel_full};
 use stencil_grid::Precision;
 use stencil_lint::{verify_kernel_source_on, Diagnostic};
-
-/// Bytes an edit writes: the digits and punctuation that change a C
-/// kernel's structure, and a few letters to break identifiers.
-const C_BYTES: &[u8] = b"0123456789[](){};,+-*/%&<>=!._ \n#xyzR";
 
 struct Case {
     spec: KernelSpec,
@@ -107,29 +103,7 @@ proptest! {
         edits in prop::collection::vec((any::<u64>(), any::<u8>(), 0u8..4), 1..4),
     ) {
         let c = case(method_idx, order, opencl);
-        let mut bytes = c.source.clone().into_bytes();
-        for &(at, b, op) in &edits {
-            let b = C_BYTES[b as usize % C_BYTES.len()];
-            let at = (at % (bytes.len() as u64 + 1)) as usize;
-            match op {
-                // Overwrite, insert or delete one byte.
-                0 if at < bytes.len() => bytes[at] = b,
-                1 => bytes.insert(at, b),
-                2 if at < bytes.len() => {
-                    bytes.remove(at);
-                }
-                // Change the next digit: the edit most likely to parse
-                // and reach the interpreter.
-                3 => {
-                    if let Some(d) = bytes[at..].iter().position(u8::is_ascii_digit) {
-                        let d = at + d;
-                        bytes[d] = b'0' + (bytes[d] - b'0' + 1 + b % 9) % 10;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let source = String::from_utf8_lossy(&bytes);
+        let source = apply_edits(&c.source, &edits);
         let diags = verify(&c, &source);
         prop_assert!(only_k_codes(&diags), "{edits:?}: {diags:?}");
     }
