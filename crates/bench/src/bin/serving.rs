@@ -47,7 +47,10 @@ fn usage() -> ! {
          \x20           determinism re-run of the cold replay (the CI configuration)\n\
          --zipf      Zipf exponent of the key popularity (default 1.1)\n\
          --burst     probability a request repeats the previous key (default 0.2)\n\
+         --shards    store shards, at least 1 (default 8)\n\
+         --workers   concurrent replay clients, at least 1\n\
          --pool      compute-pool permit bound (0 = shed every fresh search)\n\
+         --lru       hot-key LRU capacity (0 disables the cache)\n\
          --budget-us per-request deadline budget in microseconds\n\
          --store-dir back the shards with JSONL files under DIR instead of memory"
     );
@@ -89,6 +92,18 @@ fn parse_args() -> Args {
             "--help" | "-h" => usage(),
             _ => usage(),
         }
+    }
+    // Zero shards or workers, and a popularity exponent or repeat
+    // probability outside its range, mean nothing; zero pool permits
+    // and a zero-capacity LRU are the documented cache-only and
+    // cache-off modes.
+    let valid = args.shards >= 1
+        && args.workers >= 1
+        && args.zipf.is_finite()
+        && args.zipf >= 0.0
+        && (0.0..=1.0).contains(&args.burst);
+    if !valid {
+        usage();
     }
     if args.smoke {
         // The CI configuration: small universe, fixed seed, one
