@@ -19,9 +19,10 @@
 //!   `SMEM_W`) resolve exactly as a C preprocessor would. A final pass
 //!   binds every name to its storage, so the evaluator never looks a
 //!   name up.
-//! * [`interp`] — a concrete per-thread evaluator parameterized by
-//!   `(TX, TY, RX, RY, radius, VW, grid dims)`. Index values are
-//!   concrete integers; data values are provenance hashes (a global
+//! * [`interp`] — a concrete lockstep evaluator parameterized by
+//!   `(TX, TY, RX, RY, radius, VW, grid dims)`: each statement runs
+//!   once per block over every thread that reaches it. Index values
+//!   are concrete integers; data values are provenance hashes (a global
 //!   load's address, a structural op), which is what lets the verifier
 //!   tell a benign re-stage of the same cell from a genuine race.
 //!

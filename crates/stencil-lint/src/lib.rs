@@ -39,7 +39,8 @@
 //!
 //! Finally, [`verify`] closes the loop on the emitted text itself: the
 //! CUDA/OpenCL source is parsed by [`kernelir`] into a typed AST and
-//! abstractly interpreted per thread, proving shared/global bounds,
+//! abstractly interpreted, every thread of a block in lockstep, proving
+//! shared/global bounds,
 //! barrier uniformity, race freedom and that the per-plane traffic the
 //! kernel issues equals the static oracle exactly (`LNT-K…`).
 //!
