@@ -153,8 +153,8 @@ fn print_outcome(label: &str, r: &ReplayOutcome) {
     let s = &r.sheds;
     if s.total() > 0 {
         println!(
-            "  sheds: SRV-001 {} / SRV-002 {} / SRV-003 {}",
-            s.saturated, s.over_budget, s.deadline
+            "  sheds: SRV-001 {} / SRV-002 {} / SRV-003 {} / SRV-004 {}",
+            s.saturated, s.over_budget, s.deadline, s.invalid
         );
     }
 }

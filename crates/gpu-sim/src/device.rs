@@ -14,7 +14,7 @@
 //! coalescing segment, LDS bank shape, allocation granularities — is a
 //! field here, never a literal in a consumer crate.
 
-use crate::fnv::{fnv1a_bytes, fnv1a_word, FNV_OFFSET_BASIS};
+use crate::fnv::{FnvWriter, KeyWriter};
 
 /// Coalescing/padding segment of the paper's original NVIDIA targets,
 /// bytes. The pre-parameterization stack hard-coded this value; devices
@@ -430,9 +430,18 @@ impl DeviceSpec {
     /// so every persisted tune-store optimum stays warm. The
     /// `legacy_device_fingerprints_are_pinned` test holds this line.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET_BASIS;
-        fnv1a_bytes(&mut h, self.name.as_bytes());
-        let words = [
+        let mut w = FnvWriter::new();
+        self.write_key_inputs(&mut w);
+        w.finish()
+    }
+
+    /// Write the fingerprint's inputs to `w`: the name, every field as
+    /// a word (floats by bit pattern), and the geometry fields the
+    /// legacy fingerprints elide as [`KeyWriter::elidable_word`]s,
+    /// tagged so distinct deviating fields can never alias each other.
+    pub fn write_key_inputs<W: KeyWriter>(&self, w: &mut W) {
+        w.bytes(self.name.as_bytes());
+        w.words(&[
             self.arch.fingerprint_code(),
             self.sm_count as u64,
             self.cores_per_sm as u64,
@@ -455,22 +464,17 @@ impl DeviceSpec {
             self.dp_ratio.to_bits(),
             self.smem_banks as u64,
             self.l1_dup_charge.to_bits(),
-        ];
-        for w in words {
-            fnv1a_word(&mut h, w);
-        }
-        // Legacy-default elision: geometry fields the original stack
-        // hard-coded contribute only when a device deviates, tagged so
-        // distinct deviating fields can never alias each other.
-        if self.coalesce_segment_bytes != LEGACY_COALESCE_SEGMENT_BYTES {
-            fnv1a_word(&mut h, 1);
-            fnv1a_word(&mut h, self.coalesce_segment_bytes);
-        }
-        if self.smem_bank_bytes != LEGACY_SMEM_BANK_BYTES {
-            fnv1a_word(&mut h, 2);
-            fnv1a_word(&mut h, self.smem_bank_bytes as u64);
-        }
-        h
+        ]);
+        w.elidable_word(
+            1,
+            self.coalesce_segment_bytes,
+            LEGACY_COALESCE_SEGMENT_BYTES,
+        );
+        w.elidable_word(
+            2,
+            self.smem_bank_bytes as u64,
+            LEGACY_SMEM_BANK_BYTES as u64,
+        );
     }
 }
 

@@ -46,7 +46,7 @@ pub mod timing;
 
 pub use counters::{LimitingFactor, SimReport};
 pub use device::{Architecture, DeviceSpec, LEGACY_COALESCE_SEGMENT_BYTES, LEGACY_SMEM_BANK_BYTES};
-pub use fnv::{fnv1a, fnv1a_bytes, fnv1a_word, FNV_OFFSET_BASIS};
+pub use fnv::{fnv1a, fnv1a_bytes, fnv1a_word, FnvWriter, KeyWriter, FNV_OFFSET_BASIS};
 pub use mem::{
     coalesce_transactions, MemCounters, SegmentCounts, TrafficCounter, WarpLoad, WarpTraffic,
 };

@@ -21,6 +21,10 @@
 //!
 //! Cheap admissions (store, LRU, sharing an in-flight leader) bypass
 //! all three gates — shedding only ever refuses *new* search work.
+//! Ahead of the gates, a request no search can run (an empty space, a
+//! β that is not positive) is refused with
+//! [`ShedReason::InvalidRequest`]: outside input never reaches a tuner
+//! that would panic on it.
 
 use std::sync::atomic::Ordering;
 
@@ -28,7 +32,7 @@ use conc_check::sync::{AtomicU64, AtomicUsize};
 
 use inplane_core::{lower_blueprint, ProblemSpec};
 use stencil_lint::predict_traffic_on;
-use stencil_tunestore::TuneRequest;
+use stencil_tunestore::{RequestError, TuneRequest};
 
 /// Why a request was refused instead of served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,6 +57,8 @@ pub enum ShedReason {
         /// The request's budget, microseconds.
         budget_micros: u64,
     },
+    /// No search can run on the request.
+    InvalidRequest(RequestError),
 }
 
 impl ShedReason {
@@ -62,6 +68,7 @@ impl ShedReason {
             ShedReason::PoolSaturated { .. } => "SRV-001",
             ShedReason::OverBudget { .. } => "SRV-002",
             ShedReason::DeadlineExpired { .. } => "SRV-003",
+            ShedReason::InvalidRequest(_) => "SRV-004",
         }
     }
 
@@ -71,6 +78,7 @@ impl ShedReason {
             ShedReason::PoolSaturated { .. } => "pool-saturated",
             ShedReason::OverBudget { .. } => "over-budget",
             ShedReason::DeadlineExpired { .. } => "deadline-expired",
+            ShedReason::InvalidRequest(_) => "invalid-request",
         }
     }
 }
@@ -97,6 +105,7 @@ impl std::fmt::Display for ShedReason {
                 "{}: {elapsed_micros}us already spent of a {budget_micros}us budget",
                 self.code()
             ),
+            ShedReason::InvalidRequest(why) => write!(f, "{}: {why}", self.code()),
         }
     }
 }
@@ -112,12 +121,14 @@ pub struct AdmissionStats {
     pub shed_over_budget: u64,
     /// Requests shed with an already-spent budget.
     pub shed_deadline: u64,
+    /// Requests refused as invalid.
+    pub shed_invalid: u64,
 }
 
 impl AdmissionStats {
     /// Total shed requests.
     pub fn shed(&self) -> u64 {
-        self.shed_saturated + self.shed_over_budget + self.shed_deadline
+        self.shed_saturated + self.shed_over_budget + self.shed_deadline + self.shed_invalid
     }
 }
 
@@ -130,6 +141,7 @@ pub struct ComputePool {
     shed_saturated: AtomicU64,
     shed_over_budget: AtomicU64,
     shed_deadline: AtomicU64,
+    shed_invalid: AtomicU64,
 }
 
 /// An RAII compute permit; dropping it frees the pool slot.
@@ -154,6 +166,7 @@ impl ComputePool {
             shed_saturated: AtomicU64::new_named(0, "pool.shed_saturated"),
             shed_over_budget: AtomicU64::new_named(0, "pool.shed_over_budget"),
             shed_deadline: AtomicU64::new_named(0, "pool.shed_deadline"),
+            shed_invalid: AtomicU64::new_named(0, "pool.shed_invalid"),
         }
     }
 
@@ -200,6 +213,11 @@ impl ComputePool {
         self.shed_deadline.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record an invalid-request refusal.
+    pub fn record_invalid(&self) {
+        self.shed_invalid.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> AdmissionStats {
         AdmissionStats {
@@ -207,6 +225,7 @@ impl ComputePool {
             shed_saturated: self.shed_saturated.load(Ordering::Relaxed),
             shed_over_budget: self.shed_over_budget.load(Ordering::Relaxed),
             shed_deadline: self.shed_deadline.load(Ordering::Relaxed),
+            shed_invalid: self.shed_invalid.load(Ordering::Relaxed),
         }
     }
 }
@@ -306,5 +325,12 @@ mod tests {
         for r in reasons {
             assert!(r.to_string().contains(r.code()));
         }
+    }
+
+    #[test]
+    fn invalid_request_is_srv_004() {
+        let r = ShedReason::InvalidRequest(RequestError::NonPositiveBeta);
+        assert_eq!((r.code(), r.label()), ("SRV-004", "invalid-request"));
+        assert_eq!(r.to_string(), "SRV-004: beta must be positive");
     }
 }

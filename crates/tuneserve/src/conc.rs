@@ -24,7 +24,9 @@ use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
 use stencil_autotune::{ParameterSpace, Provenance, TuneSample};
 use stencil_grid::Precision;
-use stencil_tunestore::{Joined, SingleFlight, TuneKey, TuneRecord, TuneResponse, TuneStore};
+use stencil_tunestore::{
+    Joined, RequestIdentity, SingleFlight, TuneKey, TuneRecord, TuneResponse, TuneStore, TunerKind,
+};
 
 use crate::admission::ComputePool;
 use crate::lru::HotKeyLru;
@@ -277,25 +279,41 @@ fn proof_response(tag: u64) -> TuneResponse {
     }
 }
 
+/// The identity of a small exhaustive request under noise seed
+/// `seed`: distinct seeds give distinct identities.
+pub(crate) fn proof_identity(seed: u64) -> RequestIdentity {
+    let kernel = KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 2, Precision::Single);
+    RequestIdentity::new(
+        &DeviceSpec::gtx580(),
+        &kernel,
+        GridDims::new(32, 32, 8),
+        TunerKind::Exhaustive,
+        seed,
+        0,
+    )
+}
+
 /// Adversarial LRU traffic: concurrent puts and gets over a capacity-2
 /// cache with three keys. Under every interleaving the cache stays
 /// bounded, the lazily-invalidated recency queue respects its sweep
 /// bound, and the counters reconcile (`inserts - evictions == len`,
 /// `hits + misses == gets`).
 pub fn prove_lru_adversarial(budget: u64) -> CheckReport {
-    Checker::with_budget(budget).check(|| {
+    let ids: Arc<Vec<RequestIdentity>> = Arc::new((0..=3).map(proof_identity).collect());
+    Checker::with_budget(budget).check(move || {
         let lru = Arc::new(HotKeyLru::new(2));
         let gets = Arc::new(AtomicU64::new_named(0, "proof.gets"));
         let workers: Vec<_> = (0..3)
             .map(|i| {
                 let lru = Arc::clone(&lru);
                 let gets = Arc::clone(&gets);
+                let ids = Arc::clone(&ids);
                 thread::spawn_named(&format!("lru-{i}"), move || {
                     let key = i as u64 + 1;
-                    lru.put(key, proof_response(key));
-                    lru.get(key);
+                    lru.put(ids[key as usize].clone(), proof_response(key));
+                    lru.get(&ids[key as usize]);
                     gets.fetch_add(1, Ordering::AcqRel);
-                    lru.put(3, proof_response(3));
+                    lru.put(ids[3].clone(), proof_response(3));
                 })
             })
             .collect();

@@ -16,15 +16,18 @@
 //!   and per-shard [`StoreStats`](stencil_tunestore::StoreStats) that
 //!   survive aggregation;
 //! * [`lru`] — [`HotKeyLru`]: a bounded hot-key response cache in
-//!   front of the JSONL tier, with hit/evict counters;
+//!   front of the JSONL tier, keyed by the request's exact
+//!   [`RequestIdentity`](stencil_tunestore::RequestIdentity) rather
+//!   than its persistent key hash, with hit/evict counters;
 //! * [`admission`] — [`ComputePool`] (a never-blocking bounded
 //!   semaphore over searches), oracle triage
 //!   ([`predicted_search_micros`]: the static traffic oracle prices a
 //!   search before any of it runs), and the coded [`ShedReason`]
-//!   refusals (`SRV-001..003`);
-//! * [`server`] — [`TuneServer`]: LRU → store → share-in-flight →
-//!   admission → single-flight compute, plus deadline-aware
-//!   [`TuneServer::resolve_batch`] (in-batch key dedup);
+//!   refusals (`SRV-001..004`);
+//! * [`server`] — [`TuneServer`]: identity → LRU → stable key → store →
+//!   share-in-flight → admission → single-flight compute, plus
+//!   deadline-aware [`TuneServer::resolve_batch`] (in-batch dedup by
+//!   identity);
 //! * [`mod@replay`] — the Zipfian traffic-replay bench: a devices ×
 //!   orders × grids × precisions key universe, Zipf-ranked popularity
 //!   with a duplicate-burstiness knob, multi-worker replay reporting

@@ -1,19 +1,27 @@
 //! [`HotKeyLru`]: a bounded least-recently-used response cache keyed
-//! by [`TuneKey`](stencil_tunestore::TuneKey) hash.
+//! by [`RequestIdentity`].
 //!
 //! Under Zipfian traffic a handful of hot keys dominate; serving them
-//! from a small in-memory map ahead of the JSONL tier turns the common
-//! case into one mutex acquisition and a `HashMap` probe — no shard
-//! RwLock, no store counters, no record→response repacking. The cache
-//! is strictly bounded: inserting into a full cache evicts the least
-//! recently *touched* entry (gets refresh recency), and every hit,
-//! miss, insert and eviction is counted.
+//! from a small in-memory map ahead of the store turns the common case
+//! into one mutex acquisition and a map probe — no persistent key
+//! hash, no shard RwLock, no store counters, no record→response
+//! repacking. The map is indexed by the identity's word-wise hash
+//! through a pass-through hasher, and a hit is confirmed by comparing
+//! the stored identity word for word, so two requests share an entry
+//! exactly when every input of their stable keys is equal. (Two live
+//! identities whose fast hashes collide take turns in one slot: that
+//! costs a cache entry, never a wrong answer.)
+//!
+//! The cache is strictly bounded: inserting into a full cache evicts
+//! the least recently *touched* entry (gets refresh recency), and every
+//! hit, miss, insert and eviction is counted.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use conc_check::sync::Mutex;
 
-use stencil_tunestore::TuneResponse;
+use stencil_tunestore::{RequestIdentity, TuneResponse};
 
 /// Counter snapshot of a [`HotKeyLru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -30,7 +38,29 @@ pub struct LruStats {
     pub len: u64,
 }
 
+/// A [`Hasher`] for keys that already are well-mixed hashes: it
+/// returns the `u64` it is given.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ b as u64;
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct Entry {
+    identity: RequestIdentity,
     response: TuneResponse,
     /// The recency tick of this entry's newest queue slot; older queue
     /// slots for the same key are stale and skipped at eviction time.
@@ -39,8 +69,9 @@ struct Entry {
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<u64, Entry>,
-    /// Recency queue of `(key_hash, tick)` — lazily invalidated, so a
+    /// Entries by [`RequestIdentity::fast_hash`].
+    map: HashMap<u64, Entry, BuildHasherDefault<PassThrough>>,
+    /// Recency queue of `(fast_hash, tick)` — lazily invalidated, so a
     /// re-touched key leaves a stale slot behind instead of an O(n)
     /// removal.
     order: VecDeque<(u64, u64)>,
@@ -52,12 +83,6 @@ struct Inner {
 }
 
 impl Inner {
-    fn touch(&mut self, hash: u64) -> u64 {
-        self.tick += 1;
-        self.order.push_back((hash, self.tick));
-        self.tick
-    }
-
     fn evict_one(&mut self) -> bool {
         while let Some((hash, tick)) = self.order.pop_front() {
             let live = self.map.get(&hash).is_some_and(|entry| entry.tick == tick);
@@ -76,10 +101,9 @@ impl Inner {
     /// live entries by a wide margin, sweep them out in one pass.
     fn sweep_if_bloated(&mut self, capacity: usize) {
         if self.order.len() > 4 * capacity + 16 {
-            let map = std::mem::take(&mut self.map);
+            let map = &self.map;
             self.order
                 .retain(|(h, t)| map.get(h).is_some_and(|e| e.tick == *t));
-            self.map = map;
         }
     }
 }
@@ -105,32 +129,44 @@ impl HotKeyLru {
         self.capacity
     }
 
-    /// The cached response for `hash`, refreshing its recency.
-    pub fn get(&self, hash: u64) -> Option<TuneResponse> {
-        let mut inner = self.inner.lock_recovered();
-        if inner.map.contains_key(&hash) {
-            let tick = inner.touch(hash);
-            let entry = inner.map.get_mut(&hash).expect("checked above");
-            entry.tick = tick;
-            let response = entry.response.clone();
-            inner.hits += 1;
-            inner.sweep_if_bloated(self.capacity);
-            Some(response)
-        } else {
-            inner.misses += 1;
-            None
-        }
+    /// The cached response for `id`, refreshing its recency.
+    pub fn get(&self, id: &RequestIdentity) -> Option<TuneResponse> {
+        let mut guard = self.inner.lock_recovered();
+        let inner = &mut *guard;
+        let hash = id.fast_hash();
+        let response = match inner.map.get_mut(&hash) {
+            Some(entry) if entry.identity == *id => {
+                inner.tick += 1;
+                entry.tick = inner.tick;
+                inner.order.push_back((hash, inner.tick));
+                inner.hits += 1;
+                entry.response.clone()
+            }
+            _ => {
+                inner.misses += 1;
+                return None;
+            }
+        };
+        inner.sweep_if_bloated(self.capacity);
+        Some(response)
     }
 
-    /// Cache `response` under `hash`, evicting the least recently
+    /// Cache `response` under `id`, evicting the least recently
     /// touched entry when full.
-    pub fn put(&self, hash: u64, response: TuneResponse) {
+    pub fn put(&self, id: RequestIdentity, response: TuneResponse) {
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock_recovered();
-        let tick = inner.touch(hash);
-        let fresh = inner.map.insert(hash, Entry { response, tick }).is_none();
+        inner.tick += 1;
+        let (hash, tick) = (id.fast_hash(), inner.tick);
+        inner.order.push_back((hash, tick));
+        let entry = Entry {
+            identity: id,
+            response,
+            tick,
+        };
+        let fresh = inner.map.insert(hash, entry).is_none();
         if fresh {
             inner.inserts += 1;
             while inner.map.len() > self.capacity {
@@ -164,6 +200,7 @@ impl HotKeyLru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conc::proof_identity as id;
     use inplane_core::LaunchConfig;
     use stencil_autotune::{Provenance, TuneSample};
 
@@ -184,13 +221,13 @@ mod tests {
     #[test]
     fn evicts_least_recently_touched() {
         let lru = HotKeyLru::new(2);
-        lru.put(1, response(1));
-        lru.put(2, response(2));
-        assert!(lru.get(1).is_some(), "refreshes key 1");
-        lru.put(3, response(3)); // evicts 2, the stalest
-        assert!(lru.get(2).is_none());
-        assert!(lru.get(1).is_some());
-        assert!(lru.get(3).is_some());
+        lru.put(id(1), response(1));
+        lru.put(id(2), response(2));
+        assert!(lru.get(&id(1)).is_some(), "refreshes key 1");
+        lru.put(id(3), response(3)); // evicts 2, the stalest
+        assert!(lru.get(&id(2)).is_none());
+        assert!(lru.get(&id(1)).is_some());
+        assert!(lru.get(&id(3)).is_some());
         let s = lru.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.len, 2);
@@ -200,20 +237,20 @@ mod tests {
     #[test]
     fn reinsert_refreshes_without_growing() {
         let lru = HotKeyLru::new(2);
-        lru.put(1, response(1));
-        lru.put(2, response(2));
-        lru.put(1, response(10)); // overwrite, not an insert
+        lru.put(id(1), response(1));
+        lru.put(id(2), response(2));
+        lru.put(id(1), response(10)); // overwrite, not an insert
         let s = lru.stats();
         assert_eq!(s.inserts, 2);
         assert_eq!(s.len, 2);
-        assert_eq!(lru.get(1).unwrap().evaluated, 10);
+        assert_eq!(lru.get(&id(1)).unwrap().evaluated, 10);
     }
 
     #[test]
     fn zero_capacity_disables() {
         let lru = HotKeyLru::new(0);
-        lru.put(1, response(1));
-        assert!(lru.get(1).is_none());
+        lru.put(id(1), response(1));
+        assert!(lru.get(&id(1)).is_none());
         let s = lru.stats();
         assert_eq!((s.inserts, s.hits, s.misses, s.len), (0, 0, 1, 0));
     }
@@ -221,11 +258,11 @@ mod tests {
     #[test]
     fn stale_queue_slots_are_swept() {
         let lru = HotKeyLru::new(2);
-        lru.put(1, response(1));
-        lru.put(2, response(2));
+        lru.put(id(1), response(1));
+        lru.put(id(2), response(2));
         for _ in 0..100 {
-            lru.get(1);
-            lru.get(2);
+            lru.get(&id(1));
+            lru.get(&id(2));
         }
         // The lazy queue stays bounded relative to capacity.
         assert!(lru.queue_len() <= 4 * lru.capacity + 16 + 1);

@@ -239,12 +239,14 @@ pub struct ShedCounts {
     pub over_budget: u64,
     /// `SRV-003` expired-deadline sheds.
     pub deadline: u64,
+    /// `SRV-004` invalid-request refusals.
+    pub invalid: u64,
 }
 
 impl ShedCounts {
     /// Total shed responses.
     pub fn total(&self) -> u64 {
-        self.saturated + self.over_budget + self.deadline
+        self.saturated + self.over_budget + self.deadline + self.invalid
     }
 
     fn count(&mut self, reason: ShedReason) {
@@ -252,6 +254,7 @@ impl ShedCounts {
             ShedReason::PoolSaturated { .. } => self.saturated += 1,
             ShedReason::OverBudget { .. } => self.over_budget += 1,
             ShedReason::DeadlineExpired { .. } => self.deadline += 1,
+            ShedReason::InvalidRequest(_) => self.invalid += 1,
         }
     }
 }

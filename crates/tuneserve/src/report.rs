@@ -13,8 +13,9 @@ use stencil_tunestore::atomic_write;
 use crate::replay::{ReplayConfig, ReplayOutcome};
 use crate::server::ServerStats;
 
-/// Schema version of the report document.
-pub const SERVING_SCHEMA_VERSION: u64 = 1;
+/// Schema version of the report document. Version 2 added the
+/// `SRV-004` invalid-request counts.
+pub const SERVING_SCHEMA_VERSION: u64 = 2;
 
 /// The serving bench's persisted result.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,7 +60,8 @@ fn replay_json(out: &mut String, label: &str, r: &ReplayOutcome) {
             "\"p999\": {p999}, \"max\": {max}, \"mean\": {mean} }},\n",
             "    \"tiers\": {{ \"lru\": {lru}, \"store\": {store}, \"shared\": {shared}, ",
             "\"warm\": {warm}, \"computed\": {computed} }},\n",
-            "    \"sheds\": {{ \"SRV-001\": {sat}, \"SRV-002\": {over}, \"SRV-003\": {dead} }},\n",
+            "    \"sheds\": {{ \"SRV-001\": {sat}, \"SRV-002\": {over}, \"SRV-003\": {dead}, ",
+            "\"SRV-004\": {invalid} }},\n",
             "    \"cache_served_ratio\": {cache_ratio}\n",
             "  }}"
         ),
@@ -83,6 +85,7 @@ fn replay_json(out: &mut String, label: &str, r: &ReplayOutcome) {
         sat = r.sheds.saturated,
         over = r.sheds.over_budget,
         dead = r.sheds.deadline,
+        invalid = r.sheds.invalid,
         cache_ratio = fmt_f64(r.cache_served_ratio()),
     ));
 }
@@ -128,7 +131,7 @@ impl ServingReport {
                 "  \"lru\": {{ \"hits\": {lh}, \"misses\": {lm}, \"inserts\": {li}, ",
                 "\"evictions\": {le}, \"len\": {ll} }},\n",
                 "  \"admission\": {{ \"admitted\": {aa}, \"shed_saturated\": {as_}, ",
-                "\"shed_over_budget\": {ao}, \"shed_deadline\": {ad} }},\n"
+                "\"shed_over_budget\": {ao}, \"shed_deadline\": {ad}, \"shed_invalid\": {ai} }},\n"
             ),
             sfs = s.service.served_from_store,
             comp = s.service.computed,
@@ -144,6 +147,7 @@ impl ServingReport {
             as_ = s.admission.shed_saturated,
             ao = s.admission.shed_over_budget,
             ad = s.admission.shed_deadline,
+            ai = s.admission.shed_invalid,
         ));
         out.push_str("  \"per_shard\": [");
         for (i, shard) in s.per_shard.iter().enumerate() {

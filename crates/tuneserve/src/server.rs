@@ -2,19 +2,25 @@
 //!
 //! Request resolution is tiered, cheapest first:
 //!
-//! 1. **hot-key LRU** ([`HotKeyLru`]) — one mutex + map probe;
-//! 2. **store** — the sharded persistent tier (per-shard locks);
+//! 1. **hot-key LRU** ([`HotKeyLru`]) — one mutex + map probe, keyed by
+//!    the request's exact [`RequestIdentity`]; the persistent
+//!    [`TuneKey`](stencil_tunestore::TuneKey) hash is computed only below
+//!    this tier;
+//! 2. **store** — the sharded persistent tier (per-shard locks), probed
+//!    by [`TuneRequest::stable_hash`];
 //! 3. **share** — an identical request already in flight is joined,
 //!    never recomputed (bounded by the leader's remaining work);
 //! 4. **admission** ([`ComputePool`]) — only here does the request ask
-//!    to *spend compute*: deadline check, oracle triage against the
-//!    request's budget, then a non-blocking pool permit. Refusals are
-//!    coded [`ShedReason`]s, not queues;
+//!    to *spend compute*: a request no search can run is refused, then
+//!    deadline check, oracle triage against the request's budget, then
+//!    a non-blocking pool permit. Refusals are coded [`ShedReason`]s,
+//!    not queues or panics;
 //! 5. **compute** — the single-flight search of the underlying
-//!    service, holding the permit for the duration.
+//!    service under the owned `TuneKey`, holding the permit for the
+//!    duration.
 //!
-//! Batches dedup identical keys *before* any of this: one occurrence
-//! per key resolves, duplicates are served its response.
+//! Batches dedup identical requests (equal identities) *before* any of
+//! this: one occurrence resolves, duplicates are served its response.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -27,8 +33,8 @@ use inplane_core::EvalContext;
 use rayon::prelude::*;
 use stencil_autotune::Provenance;
 use stencil_tunestore::{
-    ResolveTrace, ServiceStats, StoreStats, TuneKey, TuneRequest, TuneResponse, TuneService,
-    TuneStore,
+    first_occurrences, RequestIdentity, ResolveTrace, ServiceStats, StoreStats, TuneRequest,
+    TuneResponse, TuneService, TuneStore,
 };
 
 use crate::admission::{predicted_search_micros, AdmissionStats, ComputePool, ShedReason};
@@ -226,8 +232,8 @@ impl TuneServer {
     }
 
     /// The oracle-predicted search cost for `req`, cached per key.
-    /// `hash` must be `req.key().stable_hash()` — the hash the caller
-    /// already resolved the request's cheaper tiers with.
+    /// `hash` must be `req.stable_hash()` — the hash the caller
+    /// already probed the store with.
     pub fn predicted_micros(&self, req: &TuneRequest, hash: u64) -> u64 {
         if let Some(&p) = self.prices.lock_recovered().get(&hash) {
             return p;
@@ -247,24 +253,29 @@ impl TuneServer {
     /// path passes the batch's start so queueing time counts against
     /// each request's deadline.
     pub fn resolve_at(&self, arrived: Instant, sreq: &ServeRequest) -> ServeOutcome {
-        self.resolve_keyed(arrived, sreq, &sreq.req.key())
+        self.resolve_identified(arrived, sreq, sreq.req.identity())
     }
 
-    /// The tiered path proper. The request is keyed once, by the
-    /// caller, and every tier below probes with that key or its hash.
-    fn resolve_keyed(&self, arrived: Instant, sreq: &ServeRequest, key: &TuneKey) -> ServeOutcome {
-        let hash = key.stable_hash();
-
+    /// The tiered path proper. `id` is `sreq.req.identity()`; the
+    /// stable hash is computed only on an LRU miss, and the owned key
+    /// only for a search.
+    fn resolve_identified(
+        &self,
+        arrived: Instant,
+        sreq: &ServeRequest,
+        id: RequestIdentity,
+    ) -> ServeOutcome {
         // Tier 1: hot-key LRU.
-        if let Some(response) = self.lru.get(hash) {
+        if let Some(response) = self.lru.get(&id) {
             return ServeOutcome::Served(Served {
                 response,
                 tier: ServeTier::Lru,
             });
         }
+        let hash = sreq.req.stable_hash();
         // Tier 2: the sharded store.
-        if let Some(response) = self.service.try_resolve_cached(key) {
-            self.lru.put(hash, response.clone());
+        if let Some(response) = self.service.try_resolve_stored(hash) {
+            self.lru.put(id, response.clone());
             return ServeOutcome::Served(Served {
                 response,
                 tier: ServeTier::Store,
@@ -274,13 +285,18 @@ impl TuneServer {
         // for a computation that is *already running* — admission
         // control has already bounded how many of those exist.
         if let Some(response) = self.service.wait_if_inflight(hash) {
-            self.lru.put(hash, response.clone());
+            self.lru.put(id, response.clone());
             return ServeOutcome::Served(Served {
                 response,
                 tier: ServeTier::Shared,
             });
         }
-        // Tier 4: admission — the request now asks to spend compute.
+        // Tier 4: admission — the request now asks to spend compute,
+        // and first must be one a search can run at all.
+        if let Err(why) = sreq.req.validate() {
+            self.pool.record_invalid();
+            return ServeOutcome::Shed(ShedReason::InvalidRequest(why));
+        }
         if let Some(budget) = sreq.budget_micros {
             let elapsed = arrived.elapsed().as_micros().min(u64::MAX as u128) as u64;
             if elapsed > budget {
@@ -308,9 +324,10 @@ impl TuneServer {
         // sharer; a racing leader that already *persisted* downgrades
         // us to a store hit. Either way the permit is held only
         // briefly.
-        let (response, trace) = self.service.resolve_traced(&sreq.req, key);
+        let key = sreq.req.key();
+        let (response, trace) = self.service.resolve_traced(&sreq.req, &key);
         drop(permit);
-        self.lru.put(hash, response.clone());
+        self.lru.put(id, response.clone());
         let tier = match trace {
             ResolveTrace::Store => ServeTier::Store,
             ResolveTrace::Shared => ServeTier::Shared,
@@ -322,32 +339,27 @@ impl TuneServer {
         ServeOutcome::Served(Served { response, tier })
     }
 
-    /// Deadline-aware batched resolve. Identical keys inside the batch
-    /// are deduplicated *before* the tiered path: one occurrence per
-    /// key resolves (in parallel over the rayon pool), duplicates are
-    /// served its outcome as [`ServeTier::Shared`]. Output order
-    /// matches `batch`; every request's deadline is measured from the
-    /// batch's entry, so stragglers behind a large batch shed with
-    /// [`ShedReason::DeadlineExpired`] instead of blowing the budget
-    /// silently.
+    /// Deadline-aware batched resolve. Identical requests inside the
+    /// batch are deduplicated *before* the tiered path: one occurrence
+    /// per identity resolves (in parallel over the rayon pool),
+    /// duplicates are served its outcome as [`ServeTier::Shared`].
+    /// Output order matches `batch`; every request's deadline is
+    /// measured from the batch's entry, so stragglers behind a large
+    /// batch shed with [`ShedReason::DeadlineExpired`] instead of
+    /// blowing the budget silently.
     pub fn resolve_batch(&self, batch: &[ServeRequest]) -> Vec<ServeOutcome> {
         let arrived = Instant::now();
-        let keys: Vec<TuneKey> = batch.iter().map(|s| s.req.key()).collect();
-        let mut first_slot: HashMap<u64, usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        let canonical: Vec<usize> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                *first_slot.entry(k.stable_hash()).or_insert_with(|| {
-                    unique.push(i);
-                    i
-                })
-            })
-            .collect();
+        let ids: Vec<RequestIdentity> = batch.iter().map(|s| s.req.identity()).collect();
+        let canonical = first_occurrences(&ids);
+        let unique: Vec<usize> = (0..batch.len()).filter(|&i| canonical[i] == i).collect();
         let resolved: Vec<(usize, ServeOutcome)> = unique
             .par_iter()
-            .map(|&i| (i, self.resolve_keyed(arrived, &batch[i], &keys[i])))
+            .map(|&i| {
+                (
+                    i,
+                    self.resolve_identified(arrived, &batch[i], ids[i].clone()),
+                )
+            })
             .collect();
         let by_slot: HashMap<usize, ServeOutcome> = resolved.into_iter().collect();
         canonical

@@ -15,7 +15,9 @@ use std::sync::atomic::Ordering;
 
 use conc_check::sync::AtomicU64;
 
-use stencil_tunestore::{JsonlDiskStore, MemStore, StoreStats, TuneKey, TuneRecord, TuneStore};
+use stencil_tunestore::{
+    BestConfig, JsonlDiskStore, MemStore, StoreStats, TuneKey, TuneRecord, TuneStore,
+};
 
 /// One shard's backend: volatile or JSONL-on-disk.
 enum ShardBackend {
@@ -181,6 +183,13 @@ impl TuneStore for ShardedStore {
             .backend
             .as_store()
             .get(key)
+    }
+
+    fn get_best(&self, hash: u64) -> Option<BestConfig> {
+        self.shards[self.index_of_hash(hash)]
+            .backend
+            .as_store()
+            .get_best(hash)
     }
 
     fn put(&self, record: &TuneRecord) {

@@ -14,8 +14,17 @@
 //! [`SCHEMA_VERSION`] so any change to the key layout silently
 //! invalidates every stale persisted record (the stored hash no longer
 //! matches the recomputed one).
+//!
+//! A [`RequestIdentity`] is the in-process twin of the key: the same
+//! input words, written by the same routines, kept verbatim and hashed
+//! word-wise. It costs a fraction of the byte-serial FNV fold and
+//! compares exactly, so the serving layer's hot-key cache is keyed by
+//! it and builds the persistent key only below that cache.
 
-use gpu_sim::{fnv1a, fnv1a_bytes, fnv1a_word, DeviceSpec, GridDims, FNV_OFFSET_BASIS};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+
+use gpu_sim::{fnv1a, DeviceSpec, FnvWriter, GridDims, KeyWriter};
 use inplane_core::{KernelSpec, LaunchConfig};
 use stencil_autotune::{AnnealOptions, ParameterSpace};
 
@@ -70,6 +79,18 @@ impl TunerKind {
             TunerKind::Exhaustive => "exhaustive",
             TunerKind::ModelBased { .. } => "model-based",
             TunerKind::Stochastic { .. } => "stochastic",
+        }
+    }
+
+    /// The FNV-1a hash of [`Self::label`], the tuner's key word.
+    fn label_word(&self) -> u64 {
+        const EXHAUSTIVE: u64 = fnv1a(b"exhaustive");
+        const MODEL_BASED: u64 = fnv1a(b"model-based");
+        const STOCHASTIC: u64 = fnv1a(b"stochastic");
+        match self {
+            TunerKind::Exhaustive => EXHAUSTIVE,
+            TunerKind::ModelBased { .. } => MODEL_BASED,
+            TunerKind::Stochastic { .. } => STOCHASTIC,
         }
     }
 
@@ -158,33 +179,7 @@ impl TuneKey {
         seed: u64,
         space_fp: u64,
     ) -> Self {
-        let mut h = FNV_OFFSET_BASIS;
-        fnv1a_word(&mut h, SCHEMA_VERSION);
-        fnv1a_word(&mut h, device_fp);
-        fnv1a_bytes(&mut h, kernel.name.as_bytes());
-        let params = tuner.params();
-        for w in [
-            // The stable method id; pinned by
-            // `legacy_tune_key_hashes_are_pinned`.
-            kernel.method.id(),
-            kernel.radius as u64,
-            kernel.elem_bytes as u64,
-            kernel.flops_per_point as u64,
-            kernel.streamed_inputs as u64,
-            kernel.coeff_inputs as u64,
-            kernel.outputs as u64,
-            dims.lx as u64,
-            dims.ly as u64,
-            dims.lz as u64,
-            fnv1a(tuner.label().as_bytes()),
-            params[0],
-            params[1],
-            params[2],
-            seed,
-            space_fp,
-        ] {
-            fnv1a_word(&mut h, w);
-        }
+        let hash = stable_hash_of(device_fp, &kernel, dims, tuner, seed, space_fp);
         TuneKey {
             device_name,
             device_fp,
@@ -193,7 +188,7 @@ impl TuneKey {
             tuner,
             seed,
             space_fp,
-            hash: h,
+            hash,
         }
     }
 
@@ -207,20 +202,9 @@ impl TuneKey {
     /// no device/grid/tuner) — what warm-starting matches on: "the same
     /// kernel, tuned anywhere else".
     pub fn kernel_identity(&self) -> u64 {
-        let mut h = FNV_OFFSET_BASIS;
-        fnv1a_bytes(&mut h, self.kernel.name.as_bytes());
-        for w in [
-            self.kernel.method.id(),
-            self.kernel.radius as u64,
-            self.kernel.elem_bytes as u64,
-            self.kernel.flops_per_point as u64,
-            self.kernel.streamed_inputs as u64,
-            self.kernel.coeff_inputs as u64,
-            self.kernel.outputs as u64,
-        ] {
-            fnv1a_word(&mut h, w);
-        }
-        h
+        let mut w = FnvWriter::new();
+        write_kernel(&mut w, &self.kernel);
+        w.finish()
     }
 
     /// True when `other` is the same kernel tuned in a different
@@ -231,19 +215,204 @@ impl TuneKey {
     }
 }
 
+/// The [`TuneKey::stable_hash`] of a key with these parts, without
+/// building the key.
+pub(crate) fn stable_hash_of(
+    device_fp: u64,
+    kernel: &KernelSpec,
+    dims: GridDims,
+    tuner: TunerKind,
+    seed: u64,
+    space_fp: u64,
+) -> u64 {
+    let mut w = FnvWriter::new();
+    w.word(SCHEMA_VERSION);
+    w.word(device_fp);
+    write_problem(&mut w, kernel, dims, tuner, seed, space_fp);
+    w.finish()
+}
+
+/// Every [`KernelSpec`] field, in key order.
+fn write_kernel<W: KeyWriter>(w: &mut W, kernel: &KernelSpec) {
+    w.bytes(kernel.name.as_bytes());
+    w.words(&[
+        // The stable method id; pinned by
+        // `legacy_tune_key_hashes_are_pinned`.
+        kernel.method.id(),
+        kernel.radius as u64,
+        kernel.elem_bytes as u64,
+        kernel.flops_per_point as u64,
+        kernel.streamed_inputs as u64,
+        kernel.coeff_inputs as u64,
+        kernel.outputs as u64,
+    ]);
+}
+
+/// The key's inputs after the device: kernel, grid, tuner, seed and
+/// space fingerprint.
+fn write_problem<W: KeyWriter>(
+    w: &mut W,
+    kernel: &KernelSpec,
+    dims: GridDims,
+    tuner: TunerKind,
+    seed: u64,
+    space_fp: u64,
+) {
+    write_kernel(w, kernel);
+    let params = tuner.params();
+    w.words(&[
+        dims.lx as u64,
+        dims.ly as u64,
+        dims.lz as u64,
+        tuner.label_word(),
+        params[0],
+        params[1],
+        params[2],
+        seed,
+        space_fp,
+    ]);
+}
+
+/// The exact in-process identity of one tuning problem: the words a
+/// [`TuneKey`] hashes, with the device's fingerprint *inputs* in place
+/// of its fingerprint (the legacy-elided geometry words included).
+///
+/// Equal identities have equal stable keys. Equality compares every
+/// word (floats by bit pattern, so `0.0` and `-0.0` differ, as they do
+/// in the stable key); the word-wise hash only picks the bucket. Not
+/// stable across processes or versions: never persist it.
+#[derive(Clone, Debug)]
+pub struct RequestIdentity {
+    hash: u64,
+    words: Vec<u64>,
+}
+
+impl RequestIdentity {
+    /// The identity of tuning `kernel` on `device` over `dims` with
+    /// `tuner` under `seed`, searching the space fingerprinted
+    /// `space_fp`.
+    pub fn new(
+        device: &DeviceSpec,
+        kernel: &KernelSpec,
+        dims: GridDims,
+        tuner: TunerKind,
+        seed: u64,
+        space_fp: u64,
+    ) -> Self {
+        let mut w = IdentityWriter(Vec::with_capacity(64));
+        device.write_key_inputs(&mut w);
+        write_problem(&mut w, kernel, dims, tuner, seed, space_fp);
+        let words = w.0;
+        RequestIdentity {
+            hash: mix_words(&words),
+            words,
+        }
+    }
+
+    /// The in-process hash of the identity's words.
+    #[inline]
+    pub fn fast_hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl PartialEq for RequestIdentity {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.words == other.words
+    }
+}
+
+impl Eq for RequestIdentity {}
+
+impl Hash for RequestIdentity {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Records key words verbatim. A byte string becomes its length and
+/// then its bytes packed eight to a word, so the stream stays
+/// unambiguous; elidable words are always written.
+struct IdentityWriter(Vec<u64>);
+
+impl KeyWriter for IdentityWriter {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.0.push(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0.push(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0.push(w);
+    }
+
+    #[inline]
+    fn words(&mut self, words: &[u64]) {
+        self.0.extend_from_slice(words);
+    }
+
+    #[inline]
+    fn elidable_word(&mut self, _tag: u64, value: u64, _legacy: u64) {
+        self.0.push(value);
+    }
+}
+
+/// A multiply-rotate fold over whole words with a final avalanche, so
+/// every output bit depends on every word (hash tables index by both
+/// the low and the high bits). Four interleaved lanes keep the
+/// multiplies independent of each other.
+fn mix_words(words: &[u64]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut lanes = [words.len() as u64, 1, 2, 3];
+    let mut quads = words.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &w) in lanes.iter_mut().zip(quad) {
+            *lane = step(*lane, w);
+        }
+    }
+    for (lane, &w) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = step(*lane, w);
+    }
+    let [a, b, c, d] = lanes;
+    let mut h = step(step(step(a, b), c), d);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// For each slot, the first slot holding an equal identity — how a
+/// batch collapses its duplicates before resolving.
+pub fn first_occurrences(ids: &[RequestIdentity]) -> Vec<usize> {
+    let mut first: HashMap<&RequestIdentity, usize> = HashMap::with_capacity(ids.len());
+    ids.iter()
+        .enumerate()
+        .map(|(i, id)| *first.entry(id).or_insert(i))
+        .collect()
+}
+
 impl std::hash::Hash for TuneKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
 }
 
-/// The best configuration a key resolved to (what gets persisted).
+/// The best configuration a key resolved to: the part of a record a
+/// store hit serves.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BestConfig {
     /// The winning launch configuration.
     pub config: LaunchConfig,
     /// Its measured throughput, MPoint/s.
     pub mpoints: f64,
+    /// Configurations the producing search executed.
+    pub evaluated: u64,
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! * [`key`] — [`TuneKey`], a stable, versioned content-hash over
 //!   everything that determines a tuning result (device fingerprint,
 //!   kernel spec, grid, tuner kind + parameters, noise seed, search
-//!   space);
+//!   space), and [`RequestIdentity`], its exact in-process twin over the
+//!   same inputs (what a hot-key cache is keyed by);
 //! * [`record`] — [`TuneRecord`], the persisted result with a
 //!   per-record checksum and schema-version gate;
 //! * [`store`] — the [`TuneStore`] trait with [`MemStore`] and the
@@ -65,9 +66,11 @@ pub mod singleflight;
 pub mod store;
 pub mod util;
 
-pub use key::{TuneKey, TunerKind, SCHEMA_VERSION};
+pub use key::{first_occurrences, BestConfig, RequestIdentity, TuneKey, TunerKind, SCHEMA_VERSION};
 pub use record::{RecordError, TuneRecord};
-pub use service::{ResolveTrace, ServiceStats, TuneRequest, TuneResponse, TuneService, TunerSpec};
+pub use service::{
+    RequestError, ResolveTrace, ServiceStats, TuneRequest, TuneResponse, TuneService, TunerSpec,
+};
 pub use singleflight::{Joined, LeaderGuard, SingleFlight};
 pub use store::{JsonlDiskStore, MemStore, StoreStats, TuneStore};
 pub use util::atomic_write;

@@ -17,7 +17,7 @@ use gpu_sim::{fnv1a, GridDims};
 use inplane_core::{KernelSpec, LaunchConfig, Method};
 
 use crate::json::{escape, parse_flat_object, Value};
-use crate::key::{TuneKey, TunerKind, SCHEMA_VERSION};
+use crate::key::{BestConfig, TuneKey, TunerKind, SCHEMA_VERSION};
 
 /// A tuning result bound to its [`TuneKey`].
 #[derive(Clone, Debug, PartialEq)]
@@ -31,6 +31,17 @@ pub struct TuneRecord {
     pub mpoints: f64,
     /// Configurations the producing search executed.
     pub evaluated: u64,
+}
+
+impl TuneRecord {
+    /// The fields a store hit serves, copied out without the key.
+    pub fn best_config(&self) -> BestConfig {
+        BestConfig {
+            config: self.best,
+            mpoints: self.mpoints,
+            evaluated: self.evaluated,
+        }
+    }
 }
 
 /// Why a persisted line was rejected.

@@ -18,9 +18,10 @@
 //!    memoizing [`EvalContext`], and the result is persisted.
 //!
 //! Batches fan out over the rayon worker pool; duplicates inside one
-//! batch dedup through the same single-flight path.
+//! batch — requests with equal [`RequestIdentity`] — resolve once.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ use stencil_autotune::{
     ParameterSpace, Provenance, TuneOutcome, TuneSample,
 };
 
-use crate::key::{TuneKey, TunerKind};
+use crate::key::{first_occurrences, stable_hash_of, RequestIdentity, TuneKey, TunerKind};
 use crate::record::TuneRecord;
 use crate::singleflight::{Joined, SingleFlight};
 use crate::store::TuneStore;
@@ -91,6 +92,66 @@ impl TuneRequest {
             self.tuner.kind(),
             self.seed,
         )
+    }
+
+    /// `self.key().stable_hash()`, without cloning the names and the
+    /// kernel into an owned key.
+    pub fn stable_hash(&self) -> u64 {
+        stable_hash_of(
+            self.device.fingerprint(),
+            &self.kernel,
+            self.dims,
+            self.tuner.kind(),
+            self.seed,
+            self.space.fingerprint(),
+        )
+    }
+
+    /// The exact in-process identity of this request: equal for two
+    /// requests exactly when every input of their stable keys is.
+    pub fn identity(&self) -> RequestIdentity {
+        RequestIdentity::new(
+            &self.device,
+            &self.kernel,
+            self.dims,
+            self.tuner.kind(),
+            self.seed,
+            self.space.fingerprint(),
+        )
+    }
+
+    /// Whether a search can run on this request at all: the space must
+    /// be non-empty and a model-based β positive (not NaN).
+    pub fn validate(&self) -> Result<(), RequestError> {
+        if self.space.is_empty() {
+            return Err(RequestError::EmptySpace);
+        }
+        match self.tuner {
+            TunerSpec::ModelBased { beta_percent }
+                if beta_percent.is_nan() || beta_percent <= 0.0 =>
+            {
+                Err(RequestError::NonPositiveBeta)
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Why a request cannot be tuned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RequestError {
+    /// The parameter space holds no configuration.
+    EmptySpace,
+    /// A model-based β that is zero, negative or NaN.
+    NonPositiveBeta,
+}
+
+impl fmt::Display for RequestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            RequestError::EmptySpace => "cannot tune over an empty parameter space",
+            RequestError::NonPositiveBeta => "beta must be positive",
+        })
     }
 }
 
@@ -235,10 +296,11 @@ impl TuneService {
     /// Resolve one request through store → single-flight → search.
     ///
     /// # Panics
-    /// Panics on an empty space or (for the model-based tuner) a
-    /// non-positive β — invalid requests are rejected *before* the
-    /// single-flight guard so a waiter can never block on a leader that
-    /// died validating.
+    /// Panics when [`TuneRequest::validate`] fails (an empty space, or
+    /// a model-based β that is not positive) — invalid requests are
+    /// rejected *before* the single-flight guard so a waiter can never
+    /// block on a leader that died validating. The serving layer
+    /// refuses them with a coded reason before they get here.
     pub fn resolve(&self, req: &TuneRequest) -> TuneResponse {
         self.resolve_traced(req, &req.key()).0
     }
@@ -257,18 +319,14 @@ impl TuneService {
     /// # Panics
     /// Same contract as [`Self::resolve`].
     pub fn resolve_traced(&self, req: &TuneRequest, key: &TuneKey) -> (TuneResponse, ResolveTrace) {
-        assert!(
-            !req.space.is_empty(),
-            "cannot tune over an empty parameter space"
-        );
-        if let TunerSpec::ModelBased { beta_percent } = req.tuner {
-            assert!(beta_percent > 0.0, "beta must be positive");
+        if let Err(why) = req.validate() {
+            panic!("{why}");
         }
-        debug_assert_eq!(key.stable_hash(), req.key().stable_hash());
+        debug_assert_eq!(key.stable_hash(), req.stable_hash());
         let hash = key.stable_hash();
 
         loop {
-            if let Some(resp) = self.try_resolve_cached(key) {
+            if let Some(resp) = self.try_resolve_stored(hash) {
                 return (resp, ResolveTrace::Store);
             }
             // Single-flight: first miss per key leads, the rest wait.
@@ -286,7 +344,7 @@ impl TuneService {
                     // search (the conc-check burst proof finds exactly
                     // this interleaving); publishing the stored record
                     // keeps the key at-most-once-computed.
-                    if let Some(resp) = self.try_resolve_cached(key) {
+                    if let Some(resp) = self.try_resolve_stored(hash) {
                         leadership.publish(resp.clone());
                         return (resp, ResolveTrace::Store);
                     }
@@ -309,14 +367,20 @@ impl TuneService {
 
     /// The store-hit fast path alone: an exact [`TuneKey`] hit is
     /// repackaged as a response (counted `served_from_store`), a miss
-    /// returns `None` *without* entering the single-flight guard. The
-    /// serving layer calls this, with the key it already built, before
-    /// deciding whether a request must pass admission control.
+    /// returns `None` *without* entering the single-flight guard.
     pub fn try_resolve_cached(&self, key: &TuneKey) -> Option<TuneResponse> {
-        let rec = self.store.get(key)?;
+        self.try_resolve_stored(key.stable_hash())
+    }
+
+    /// [`Self::try_resolve_cached`] for the key whose stable hash is
+    /// `hash` ([`TuneRequest::stable_hash`]): one store probe that
+    /// copies out only the served fields. The serving layer calls this
+    /// before deciding whether a request must pass admission control.
+    pub fn try_resolve_stored(&self, hash: u64) -> Option<TuneResponse> {
+        let rec = self.store.get_best(hash)?;
         self.served_from_store.fetch_add(1, Ordering::Relaxed);
         let best = TuneSample {
-            config: rec.best,
+            config: rec.config,
             mpoints: rec.mpoints,
         };
         Some(TuneResponse {
@@ -324,7 +388,7 @@ impl TuneService {
             evaluated: rec.evaluated,
             samples: vec![best],
             provenance: Provenance::Store,
-            key_hash: key.stable_hash(),
+            key_hash: hash,
         })
     }
 
@@ -341,28 +405,18 @@ impl TuneService {
     }
 
     /// Resolve a batch over the rayon worker pool. Output order matches
-    /// `requests`. Identical keys *within* the batch are deduplicated
-    /// before fan-out: one occurrence resolves, the rest are served its
-    /// response (counted `shared`) without touching the single-flight
-    /// guard at all.
+    /// `requests`. Identical requests *within* the batch are
+    /// deduplicated before fan-out: one occurrence resolves, the rest
+    /// are served its response (counted `shared`) without touching the
+    /// single-flight guard at all.
     pub fn resolve_batch(&self, requests: &[TuneRequest]) -> Vec<TuneResponse> {
-        // Map each slot to the first slot carrying the same key.
-        let keys: Vec<TuneKey> = requests.iter().map(TuneRequest::key).collect();
-        let mut first_slot: HashMap<u64, usize> = HashMap::new();
-        let mut unique: Vec<usize> = Vec::new();
-        let canonical: Vec<usize> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| {
-                *first_slot.entry(k.stable_hash()).or_insert_with(|| {
-                    unique.push(i);
-                    i
-                })
-            })
-            .collect();
+        // Map each slot to the first slot carrying the same request.
+        let ids: Vec<RequestIdentity> = requests.iter().map(TuneRequest::identity).collect();
+        let canonical = first_occurrences(&ids);
+        let unique: Vec<usize> = (0..requests.len()).filter(|&i| canonical[i] == i).collect();
         let resolved: Vec<(usize, TuneResponse)> = unique
             .par_iter()
-            .map(|&i| (i, self.resolve_traced(&requests[i], &keys[i]).0))
+            .map(|&i| (i, self.resolve(&requests[i])))
             .collect();
         let by_slot: HashMap<usize, TuneResponse> = resolved.into_iter().collect();
         canonical

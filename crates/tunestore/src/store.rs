@@ -17,6 +17,7 @@ use std::sync::atomic::Ordering;
 
 use conc_check::sync::{AtomicU64, Mutex, RwLock};
 
+use crate::key::BestConfig;
 use crate::record::TuneRecord;
 use crate::util::atomic_write;
 use crate::TuneKey;
@@ -64,6 +65,10 @@ impl StoreStats {
 pub trait TuneStore: Send + Sync {
     /// The newest record for `key`, if any.
     fn get(&self, key: &TuneKey) -> Option<TuneRecord>;
+    /// The served fields of the newest record whose key has stable
+    /// hash `hash`, if any — the serving path's probe: one lookup,
+    /// counted like [`Self::get`], copying no key.
+    fn get_best(&self, hash: u64) -> Option<BestConfig>;
     /// Insert (or replace) the record for its key.
     fn put(&self, record: &TuneRecord);
     /// Every live record, in unspecified order (used by warm-start
@@ -90,6 +95,12 @@ struct Counters {
 }
 
 impl Counters {
+    /// Count one lookup as a hit or a miss.
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> StoreStats {
         StoreStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -119,10 +130,17 @@ impl MemStore {
 impl TuneStore for MemStore {
     fn get(&self, key: &TuneKey) -> Option<TuneRecord> {
         let found = self.map.read_recovered().get(&key.stable_hash()).cloned();
-        match &found {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.counters.count(found.is_some());
+        found
+    }
+
+    fn get_best(&self, hash: u64) -> Option<BestConfig> {
+        let found = self
+            .map
+            .read_recovered()
+            .get(&hash)
+            .map(TuneRecord::best_config);
+        self.counters.count(found.is_some());
         found
     }
 
@@ -242,10 +260,17 @@ impl JsonlDiskStore {
 impl TuneStore for JsonlDiskStore {
     fn get(&self, key: &TuneKey) -> Option<TuneRecord> {
         let found = self.map.read_recovered().get(&key.stable_hash()).cloned();
-        match &found {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.counters.count(found.is_some());
+        found
+    }
+
+    fn get_best(&self, hash: u64) -> Option<BestConfig> {
+        let found = self
+            .map
+            .read_recovered()
+            .get(&hash)
+            .map(TuneRecord::best_config);
+        self.counters.count(found.is_some());
         found
     }
 

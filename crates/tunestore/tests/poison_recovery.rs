@@ -14,8 +14,8 @@ use inplane_core::{EvalContext, KernelSpec, Method, Variant};
 use stencil_autotune::ParameterSpace;
 use stencil_grid::Precision;
 use stencil_tunestore::{
-    MemStore, ResolveTrace, StoreStats, TuneKey, TuneRecord, TuneRequest, TuneService, TuneStore,
-    TunerSpec,
+    BestConfig, MemStore, ResolveTrace, StoreStats, TuneKey, TuneRecord, TuneRequest, TuneService,
+    TuneStore, TunerSpec,
 };
 
 /// Delegates to a [`MemStore`] but panics on the first `put` — the
@@ -40,6 +40,10 @@ impl FaultyStore {
 impl TuneStore for FaultyStore {
     fn get(&self, key: &TuneKey) -> Option<TuneRecord> {
         self.inner.get(key)
+    }
+
+    fn get_best(&self, hash: u64) -> Option<BestConfig> {
+        self.inner.get_best(hash)
     }
 
     fn put(&self, record: &TuneRecord) {
