@@ -3,12 +3,13 @@
 //! counts as `BENCH_conc.json`.
 //!
 //! Each proof drives a shipped serving core (compute pool, single
-//! flight, hot-key LRU, sharded store) under the deterministic model
-//! checker, exploring bounded-exhaustive interleavings plus injected
-//! leader panics and spurious condvar wakeups. The process exits
-//! non-zero when any proof reports a finding or when the combined
-//! exploration falls short of `--min-schedules` — so CI fails loudly
-//! on both a concurrency bug and a silently shrunken search.
+//! flight, hot-key LRU, sharded store, key index) under the
+//! deterministic model checker, exploring bounded-exhaustive
+//! interleavings plus injected leader panics and spurious condvar
+//! wakeups. The process exits non-zero when any proof reports a
+//! finding or when the combined exploration falls short of
+//! `--min-schedules` — so CI fails loudly on both a concurrency bug
+//! and a silently shrunken search.
 //!
 //! ```sh
 //! cargo run --release -p stencil-bench --bin conc -- --budget 16384 --out BENCH_conc.json
@@ -32,9 +33,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: conc [--budget N] [--min-schedules N] [--out BENCH_conc.json]\n\
          Runs the serving layer's conc-check proofs (pool admission, permit\n\
-         unwind, single-flight burst, LRU adversarial, shard isolation) with a\n\
-         per-proof schedule budget and writes the exploration report. Exits\n\
-         non-zero on any CCK-* finding or an under-explored run."
+         unwind, single-flight burst, LRU adversarial, shard isolation, key\n\
+         index) with a per-proof schedule budget and writes the exploration\n\
+         report. Exits non-zero on any CCK-* finding or an under-explored run."
     );
     std::process::exit(2)
 }

@@ -5,7 +5,7 @@
 //! space (interleavings × injected leader panics × spurious condvar
 //! wakeups) of one shipped component — the real [`ComputePool`], the
 //! real [`HotKeyLru`], the real [`ShardedStore`], the real
-//! [`SingleFlight`] — and returns
+//! [`SingleFlight`], the real [`TuneServer`]'s key index — and returns
 //! the checker's [`CheckReport`]. A clean report is a proof over the
 //! explored space, not a lucky run: the scheduler, not the OS,
 //! decides every interleaving, and the report says how many
@@ -21,15 +21,17 @@ use std::sync::Arc;
 use conc_check::sync::{fault, thread, AtomicU64, AtomicUsize};
 use conc_check::{cck_assert, CheckReport, Checker};
 use gpu_sim::{DeviceSpec, GridDims};
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_autotune::{ParameterSpace, Provenance, TuneSample};
 use stencil_grid::Precision;
 use stencil_tunestore::{
-    Joined, RequestIdentity, SingleFlight, TuneKey, TuneRecord, TuneResponse, TuneStore, TunerKind,
+    Joined, RequestIdentity, SingleFlight, TuneKey, TuneRecord, TuneRequest, TuneResponse,
+    TuneStore, TunerKind, TunerSpec,
 };
 
 use crate::admission::ComputePool;
 use crate::lru::HotKeyLru;
+use crate::server::{ServeOutcome, ServeRequest, ServeTier, ServerConfig, TuneServer};
 use crate::shard::ShardedStore;
 
 /// One named proof and its exploration report.
@@ -73,6 +75,12 @@ pub fn run_all(budget: u64) -> Vec<ProofOutcome> {
             name: "shard_isolation",
             claim: "compacting one shard never disturbs traffic on another",
             report: prove_shard_isolation(budget),
+        },
+        ProofOutcome {
+            name: "key_index",
+            claim: "racing store hits of one identity index it once and serve \
+                    its folded stable hash",
+            report: prove_key_index(budget),
         },
     ]
 }
@@ -443,6 +451,89 @@ pub fn prove_shard_isolation(budget: u64) -> CheckReport {
             "CCK-004",
             "shard occupancy {:?} after one record each",
             store.shard_lens()
+        );
+    })
+}
+
+/// A small exhaustive request over a one-configuration space under
+/// noise seed `seed`.
+pub(crate) fn proof_request(seed: u64) -> TuneRequest {
+    TuneRequest {
+        device: DeviceSpec::gtx580(),
+        kernel: KernelSpec::star_order(Method::InPlane(Variant::FullSlice), 2, Precision::Single),
+        dims: GridDims::new(32, 32, 8),
+        space: ParameterSpace::from_configs(vec![LaunchConfig::new(32, 4, 1, 1)]),
+        tuner: TunerSpec::Exhaustive,
+        seed,
+    }
+}
+
+/// The key index's first insert racing its probes: three threads
+/// resolve one identity through a real [`TuneServer`] whose store
+/// already holds the record, with the LRU off so every resolve reaches
+/// the index, then one more resolve follows the race. Under every
+/// interleaving each response is a store hit carrying the request's
+/// folded stable hash, the index holds exactly one entry, the last
+/// resolve finds it, and every probe is counted once.
+pub fn prove_key_index(budget: u64) -> CheckReport {
+    let req = proof_request(1);
+    let hash = req.stable_hash();
+    let record = TuneRecord {
+        key: req.key(),
+        best: LaunchConfig::new(32, 4, 1, 1),
+        mpoints: 100.0,
+        evaluated: 1,
+    };
+    // Store hits never evaluate: one context serves every schedule.
+    let ctx = Arc::new(EvalContext::new());
+    Checker::with_budget(budget).check(move || {
+        let store = Arc::new(ShardedStore::mem(1));
+        store.put(&record);
+        let config = ServerConfig {
+            pool_limit: 0,
+            lru_capacity: 0,
+        };
+        let server = Arc::new(TuneServer::new(store, Arc::clone(&ctx), config));
+        let served_hash = |outcome: ServeOutcome| {
+            outcome
+                .served()
+                .filter(|s| s.tier == ServeTier::Store)
+                .map(|s| s.response.key_hash)
+        };
+        let workers: Vec<_> = (0..3)
+            .map(|i| {
+                let server = Arc::clone(&server);
+                let sreq = ServeRequest::unbounded(req.clone());
+                thread::spawn_named(&format!("resolver-{i}"), move || server.resolve(&sreq))
+            })
+            .collect();
+        for w in workers {
+            let got = served_hash(w.join().unwrap());
+            cck_assert!(
+                got == Some(hash),
+                "CCK-004",
+                "a racing resolve was served {got:x?} instead of a store hit under {hash:x}"
+            );
+        }
+        let got = served_hash(server.resolve(&ServeRequest::unbounded(req.clone())));
+        cck_assert!(
+            got == Some(hash),
+            "CCK-004",
+            "the resolve after the race was served {got:x?} instead of {hash:x}"
+        );
+        cck_assert!(
+            server.key_index_len() == 1,
+            "CCK-004",
+            "one identity left {} index entries",
+            server.key_index_len()
+        );
+        let index = server.stats().index;
+        cck_assert!(
+            index.hits >= 1 && index.hits + index.misses == 4,
+            "CCK-004",
+            "index probes torn: {} hits + {} misses for 4 resolves (the last must hit)",
+            index.hits,
+            index.misses
         );
     })
 }

@@ -18,13 +18,16 @@
 //! * [`lru`] — [`HotKeyLru`]: a bounded hot-key response cache in
 //!   front of the JSONL tier, keyed by the request's exact
 //!   [`RequestIdentity`](stencil_tunestore::RequestIdentity) rather
-//!   than its persistent key hash, with hit/evict counters;
+//!   than its persistent key hash, with hit/evict counters; and
+//!   [`KeyIndex`], which remembers each identity's persistent hash
+//!   once the store holds its record, so store hits skip the fold;
 //! * [`admission`] — [`ComputePool`] (a never-blocking bounded
 //!   semaphore over searches), oracle triage
 //!   ([`predicted_search_micros`]: the static traffic oracle prices a
 //!   search before any of it runs), and the coded [`ShedReason`]
 //!   refusals (`SRV-001..004`);
-//! * [`server`] — [`TuneServer`]: identity → LRU → stable key → store →
+//! * [`server`] — [`TuneServer`]: identity → LRU → stable key (indexed
+//!   or folded) → store →
 //!   share-in-flight → admission → single-flight compute, plus
 //!   deadline-aware [`TuneServer::resolve_batch`] (in-batch dedup by
 //!   identity);
@@ -81,7 +84,7 @@ pub mod server;
 pub mod shard;
 
 pub use admission::{predicted_search_micros, AdmissionStats, ComputePool, Permit, ShedReason};
-pub use lru::{HotKeyLru, LruStats};
+pub use lru::{HotKeyLru, KeyIndex, KeyIndexStats, LruStats};
 pub use replay::{
     replay, zipf_trace, LatencyStats, ReplayConfig, ReplayOutcome, ShedCounts, TierCounts,
     TrafficMix, Zipf,

@@ -1,5 +1,7 @@
-//! [`HotKeyLru`]: a bounded least-recently-used response cache keyed
-//! by [`RequestIdentity`].
+//! The serving layer's in-process caches, both keyed by the request's
+//! exact [`RequestIdentity`]: [`HotKeyLru`], a bounded
+//! least-recently-used response cache, and [`KeyIndex`], which
+//! remembers each identity's persistent stable hash.
 //!
 //! Under Zipfian traffic a handful of hot keys dominate; serving them
 //! from a small in-memory map ahead of the store turns the common case
@@ -15,13 +17,20 @@
 //! The cache is strictly bounded: inserting into a full cache evicts
 //! the least recently *touched* entry (gets refresh recency), and every
 //! hit, miss, insert and eviction is counted.
+//!
+//! Below the LRU, a request needs its stable hash to probe the store.
+//! That hash is a pure function of the identity, so [`KeyIndex`] keeps
+//! it once the store holds the identity's record, and a later LRU miss
+//! skips the byte-serial fold. The server indexes only identities whose
+//! record the store holds, so the index never outgrows the store.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::Ordering;
 
-use conc_check::sync::Mutex;
+use conc_check::sync::{AtomicU64, Mutex, RwLock};
 
-use stencil_tunestore::{RequestIdentity, TuneResponse};
+use stencil_tunestore::{RequestIdentity, TuneRequest, TuneResponse};
 
 /// Counter snapshot of a [`HotKeyLru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -197,6 +206,81 @@ impl HotKeyLru {
     }
 }
 
+/// Counter snapshot of a [`KeyIndex`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct KeyIndexStats {
+    /// Probes answered with a remembered stable hash.
+    pub hits: u64,
+    /// Probes that found nothing, each paying the stable-hash fold.
+    pub misses: u64,
+}
+
+/// Exact request identity → persistent stable hash; see the
+/// [module docs](self).
+///
+/// A remembered hash is exact by construction: the map is keyed by the
+/// whole identity (its `Eq` compares every word), and the value is a
+/// pure function of it, so an entry never goes stale.
+pub struct KeyIndex {
+    map: RwLock<HashMap<RequestIdentity, u64, BuildHasherDefault<PassThrough>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl Default for KeyIndex {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl KeyIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        KeyIndex {
+            map: RwLock::new_named(HashMap::default(), "key_index.map"),
+            hits: AtomicU64::new_named(0, "key_index.hits"),
+            misses: AtomicU64::new_named(0, "key_index.misses"),
+        }
+    }
+
+    /// [`TuneRequest::stable_hash`] of `req`, whose identity is `id`,
+    /// and whether it was remembered (`true`) or folded here (`false`).
+    pub fn stable_hash(&self, id: &RequestIdentity, req: &TuneRequest) -> (u64, bool) {
+        let remembered = self.map.read_recovered().get(id).copied();
+        if let Some(hash) = remembered {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            debug_assert_eq!(hash, req.stable_hash());
+            return (hash, true);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        (req.stable_hash(), false)
+    }
+
+    /// Remember `hash` as the stable hash of `id`. Call it only once
+    /// the store holds the record under `hash`.
+    pub fn insert(&self, id: &RequestIdentity, hash: u64) {
+        let mut map = self.map.write_recovered();
+        if !map.contains_key(id) {
+            map.insert(id.clone(), hash);
+        }
+    }
+
+    /// Identities indexed — exposed so tests and the concurrency
+    /// proofs can assert the index never outgrows the store.
+    #[doc(hidden)]
+    pub fn entries(&self) -> usize {
+        self.map.read_recovered().len()
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> KeyIndexStats {
+        KeyIndexStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +337,24 @@ mod tests {
         assert!(lru.get(&id(1)).is_none());
         let s = lru.stats();
         assert_eq!((s.inserts, s.hits, s.misses, s.len), (0, 0, 1, 0));
+    }
+
+    #[test]
+    fn key_index_remembers_the_folded_hash() {
+        let index = KeyIndex::new();
+        let req = crate::conc::proof_request(1);
+        let id = req.identity();
+        assert_eq!(index.stable_hash(&id, &req), (req.stable_hash(), false));
+        index.insert(&id, req.stable_hash());
+        index.insert(&id, req.stable_hash()); // already known: no second entry
+        assert_eq!(index.stable_hash(&id, &req), (req.stable_hash(), true));
+        let other = crate::conc::proof_request(2);
+        assert_eq!(
+            index.stable_hash(&other.identity(), &other),
+            (other.stable_hash(), false)
+        );
+        assert_eq!(index.entries(), 1);
+        assert_eq!(index.stats(), KeyIndexStats { hits: 1, misses: 2 });
     }
 
     #[test]

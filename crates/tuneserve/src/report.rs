@@ -14,8 +14,8 @@ use crate::replay::{ReplayConfig, ReplayOutcome};
 use crate::server::ServerStats;
 
 /// Schema version of the report document. Version 2 added the
-/// `SRV-004` invalid-request counts.
-pub const SERVING_SCHEMA_VERSION: u64 = 2;
+/// `SRV-004` invalid-request counts, version 3 the key-index counters.
+pub const SERVING_SCHEMA_VERSION: u64 = 3;
 
 /// The serving bench's persisted result.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,6 +130,7 @@ impl ServingReport {
                 "\"warm_started\": {ws}, \"shared\": {sh}, \"batch_deduped\": {bd} }},\n",
                 "  \"lru\": {{ \"hits\": {lh}, \"misses\": {lm}, \"inserts\": {li}, ",
                 "\"evictions\": {le}, \"len\": {ll} }},\n",
+                "  \"key_index\": {{ \"hits\": {kh}, \"misses\": {km} }},\n",
                 "  \"admission\": {{ \"admitted\": {aa}, \"shed_saturated\": {as_}, ",
                 "\"shed_over_budget\": {ao}, \"shed_deadline\": {ad}, \"shed_invalid\": {ai} }},\n"
             ),
@@ -143,6 +144,8 @@ impl ServingReport {
             li = s.lru.inserts,
             le = s.lru.evictions,
             ll = s.lru.len,
+            kh = s.index.hits,
+            km = s.index.misses,
             aa = s.admission.admitted,
             as_ = s.admission.shed_saturated,
             ao = s.admission.shed_over_budget,

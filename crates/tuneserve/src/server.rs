@@ -4,10 +4,12 @@
 //!
 //! 1. **hot-key LRU** ([`HotKeyLru`]) — one mutex + map probe, keyed by
 //!    the request's exact [`RequestIdentity`]; the persistent
-//!    [`TuneKey`](stencil_tunestore::TuneKey) hash is computed only below
+//!    [`TuneKey`](stencil_tunestore::TuneKey) hash is needed only below
 //!    this tier;
 //! 2. **store** — the sharded persistent tier (per-shard locks), probed
-//!    by [`TuneRequest::stable_hash`];
+//!    by [`TuneRequest::stable_hash`]. The [`KeyIndex`] supplies that
+//!    hash for every identity the store already served or persisted, so
+//!    only an identity's first trip below the LRU folds it;
 //! 3. **share** — an identical request already in flight is joined,
 //!    never recomputed (bounded by the leader's remaining work);
 //! 4. **admission** ([`ComputePool`]) — only here does the request ask
@@ -33,12 +35,12 @@ use inplane_core::EvalContext;
 use rayon::prelude::*;
 use stencil_autotune::Provenance;
 use stencil_tunestore::{
-    first_occurrences, RequestIdentity, ResolveTrace, ServiceStats, StoreStats, TuneRequest,
-    TuneResponse, TuneService, TuneStore,
+    first_occurrences, scatter_occurrences, RequestIdentity, ResolveTrace, ServiceStats,
+    StoreStats, TuneRequest, TuneResponse, TuneService, TuneStore,
 };
 
 use crate::admission::{predicted_search_micros, AdmissionStats, ComputePool, ShedReason};
-use crate::lru::{HotKeyLru, LruStats};
+use crate::lru::{HotKeyLru, KeyIndex, KeyIndexStats, LruStats};
 use crate::shard::ShardedStore;
 
 /// One serving request: the tuning problem plus its latency budget.
@@ -162,6 +164,9 @@ pub struct ServerStats {
     pub service: ServiceStats,
     /// Hot-key LRU counters.
     pub lru: LruStats,
+    /// Identity → stable-hash index counters: its misses are the
+    /// stable-hash folds still done on the request path.
+    pub index: KeyIndexStats,
     /// Admission-control counters.
     pub admission: AdmissionStats,
     /// Aggregate store counters (per-shard sum).
@@ -177,6 +182,7 @@ pub struct TuneServer {
     service: TuneService,
     store: Arc<ShardedStore>,
     lru: HotKeyLru,
+    index: KeyIndex,
     pool: ComputePool,
     /// Oracle prices per key hash — pricing lowers a proxy plan, so
     /// hot keys (and every configuration of a retried key) pay once.
@@ -203,6 +209,7 @@ impl TuneServer {
             service,
             store,
             lru: HotKeyLru::new(config.lru_capacity),
+            index: KeyIndex::new(),
             pool: ComputePool::new(config.pool_limit),
             prices: Mutex::new_named(HashMap::new(), "server.prices"),
             batch_deduped: AtomicU64::new_named(0, "server.batch_deduped"),
@@ -219,11 +226,19 @@ impl TuneServer {
         &self.store
     }
 
+    /// Identities in the stable-hash index — exposed so tests can
+    /// assert it never outgrows [`ShardedStore::len`].
+    #[doc(hidden)]
+    pub fn key_index_len(&self) -> usize {
+        self.index.entries()
+    }
+
     /// Counter snapshot across every layer.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             service: self.service.stats(),
             lru: self.lru.stats(),
+            index: self.index.stats(),
             admission: self.pool.stats(),
             store: self.store.stats(),
             per_shard: self.store.shard_stats(),
@@ -257,8 +272,8 @@ impl TuneServer {
     }
 
     /// The tiered path proper. `id` is `sreq.req.identity()`; the
-    /// stable hash is computed only on an LRU miss, and the owned key
-    /// only for a search.
+    /// stable hash is looked up (or folded) only on an LRU miss, and the
+    /// owned key is built only for a search.
     fn resolve_identified(
         &self,
         arrived: Instant,
@@ -272,24 +287,16 @@ impl TuneServer {
                 tier: ServeTier::Lru,
             });
         }
-        let hash = sreq.req.stable_hash();
+        let (hash, indexed) = self.index.stable_hash(&id, &sreq.req);
         // Tier 2: the sharded store.
         if let Some(response) = self.service.try_resolve_stored(hash) {
-            self.lru.put(id, response.clone());
-            return ServeOutcome::Served(Served {
-                response,
-                tier: ServeTier::Store,
-            });
+            return self.keep(id, hash, indexed, response, ServeTier::Store);
         }
         // Tier 3: join an in-flight identical request. This waits only
         // for a computation that is *already running* — admission
         // control has already bounded how many of those exist.
         if let Some(response) = self.service.wait_if_inflight(hash) {
-            self.lru.put(id, response.clone());
-            return ServeOutcome::Served(Served {
-                response,
-                tier: ServeTier::Shared,
-            });
+            return self.keep(id, hash, indexed, response, ServeTier::Shared);
         }
         // Tier 4: admission — the request now asks to spend compute,
         // and first must be one a search can run at all.
@@ -327,7 +334,6 @@ impl TuneServer {
         let key = sreq.req.key();
         let (response, trace) = self.service.resolve_traced(&sreq.req, &key);
         drop(permit);
-        self.lru.put(id, response.clone());
         let tier = match trace {
             ResolveTrace::Store => ServeTier::Store,
             ResolveTrace::Shared => ServeTier::Shared,
@@ -336,6 +342,23 @@ impl TuneServer {
                 _ => ServeTier::Computed,
             },
         };
+        self.keep(id, hash, indexed, response, tier)
+    }
+
+    /// Serve `response`, which the store holds under `hash`: the index
+    /// learns the hash unless it supplied it, and the LRU the response.
+    fn keep(
+        &self,
+        id: RequestIdentity,
+        hash: u64,
+        indexed: bool,
+        response: TuneResponse,
+        tier: ServeTier,
+    ) -> ServeOutcome {
+        if !indexed {
+            self.index.insert(&id, hash);
+        }
+        self.lru.put(id, response.clone());
         ServeOutcome::Served(Served { response, tier })
     }
 
@@ -361,26 +384,17 @@ impl TuneServer {
                 )
             })
             .collect();
-        let by_slot: HashMap<usize, ServeOutcome> = resolved.into_iter().collect();
-        canonical
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let outcome = by_slot[&c].clone();
-                if i == c {
-                    return outcome;
-                }
-                self.batch_deduped.fetch_add(1, Ordering::Relaxed);
-                match outcome {
-                    // A duplicate shares the canonical occurrence's
-                    // response without doing any of its work.
-                    ServeOutcome::Served(s) => ServeOutcome::Served(Served {
-                        response: s.response,
-                        tier: ServeTier::Shared,
-                    }),
-                    shed => shed,
-                }
-            })
-            .collect()
+        scatter_occurrences(&canonical, resolved, |outcome| {
+            self.batch_deduped.fetch_add(1, Ordering::Relaxed);
+            match outcome {
+                // A duplicate shares the canonical occurrence's
+                // response without doing any of its work.
+                ServeOutcome::Served(s) => ServeOutcome::Served(Served {
+                    response: s.response,
+                    tier: ServeTier::Shared,
+                }),
+                shed => shed,
+            }
+        })
     }
 }

@@ -11,7 +11,7 @@ const TIER1_BUDGET: u64 = 512;
 #[test]
 fn all_serving_proofs_are_clean_at_tier1_budget() {
     let outcomes = conc::run_all(TIER1_BUDGET);
-    assert_eq!(outcomes.len(), 5, "a proof was added or dropped silently");
+    assert_eq!(outcomes.len(), 6, "a proof was added or dropped silently");
     for o in &outcomes {
         assert!(
             o.report.ok(),

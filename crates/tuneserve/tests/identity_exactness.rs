@@ -2,16 +2,23 @@
 //! persistent key hash. Two requests must share an LRU entry exactly
 //! when every input of their stable `TuneKey`s is equal: a request
 //! that differs in one input and still hit another's entry would be
-//! served the wrong tuning result.
+//! served the wrong tuning result. The key index below the LRU maps
+//! the same identities to their stable hashes, so a hash it remembers
+//! must be exactly the one the request folds.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use gpu_sim::{DeviceSpec, GridDims, LEGACY_COALESCE_SEGMENT_BYTES};
-use inplane_core::{KernelSpec, LaunchConfig, Method, Variant};
+use inplane_core::{EvalContext, KernelSpec, LaunchConfig, Method, Variant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stencil_autotune::{AnnealOptions, ParameterSpace, Provenance, TuneSample};
 use stencil_grid::Precision;
-use stencil_tuneserve::{HotKeyLru, TrafficMix};
-use stencil_tunestore::{TuneRequest, TuneResponse, TunerSpec};
+use stencil_tuneserve::{
+    HotKeyLru, ServeRequest, ServeTier, ServerConfig, ShardedStore, TrafficMix, TuneServer,
+};
+use stencil_tunestore::{TuneRecord, TuneRequest, TuneResponse, TuneStore, TunerSpec};
 
 fn base() -> TuneRequest {
     TuneRequest {
@@ -248,6 +255,30 @@ fn mutate(r: &mut TuneRequest, rng: &mut StdRng) {
     }
 }
 
+/// The seeded corpus of request pairs: a universe request mutated in
+/// one input, paired with a copy of it or of another universe request,
+/// mutated again seven times in ten.
+fn mutation_pairs() -> Vec<(TuneRequest, TuneRequest)> {
+    let universe = TrafficMix::standard().universe();
+    let mut rng = StdRng::seed_from_u64(0x1d_e4_71);
+    (0..3000)
+        .map(|_| {
+            let origin = &universe[rng.gen_range(0..universe.len())];
+            let mut a = origin.clone();
+            let mut b = if rng.gen_bool(0.5) {
+                origin.clone()
+            } else {
+                universe[rng.gen_range(0..universe.len())].clone()
+            };
+            mutate(&mut a, &mut rng);
+            if rng.gen_bool(0.7) {
+                mutate(&mut b, &mut rng);
+            }
+            (a, b)
+        })
+        .collect()
+}
+
 /// Seeded property over the serving universe × single-field
 /// mutations: identity equality holds exactly when the stable-key
 /// input words are equal, which in turn is exactly when the stable
@@ -255,21 +286,8 @@ fn mutate(r: &mut TuneRequest, rng: &mut StdRng) {
 /// with the owned key's.
 #[test]
 fn identity_equality_is_input_equality() {
-    let universe = TrafficMix::standard().universe();
-    let mut rng = StdRng::seed_from_u64(0x1d_e4_71);
     let (mut equal, mut unequal) = (0, 0);
-    for _ in 0..3000 {
-        let origin = &universe[rng.gen_range(0..universe.len())];
-        let mut a = origin.clone();
-        let mut b = if rng.gen_bool(0.5) {
-            origin.clone()
-        } else {
-            universe[rng.gen_range(0..universe.len())].clone()
-        };
-        mutate(&mut a, &mut rng);
-        if rng.gen_bool(0.7) {
-            mutate(&mut b, &mut rng);
-        }
+    for (a, b) in mutation_pairs() {
         let same_words = input_words(&a) == input_words(&b);
         let same_id = a.identity() == b.identity();
         assert_eq!(same_id, same_words, "{a:?}\n{b:?}");
@@ -293,4 +311,67 @@ fn identity_equality_is_input_equality() {
         equal > 100 && unequal > 100,
         "{equal} equal, {unequal} unequal"
     );
+}
+
+/// Resolve `req` on `server`, whose store holds the records tagged in
+/// `stored` (stable hash → tag). A served response must be the store
+/// hit of the request's own folded hash; a request with no record is
+/// shed. Returns whether the key index supplied the hash.
+fn resolve_exact(server: &TuneServer, stored: &HashMap<u64, u64>, req: &TuneRequest) -> bool {
+    let before = server.stats().index.hits;
+    let outcome = server.resolve(&ServeRequest::unbounded(req.clone()));
+    let indexed = server.stats().index.hits > before;
+    let hash = req.stable_hash();
+    match (outcome.served(), stored.get(&hash)) {
+        (Some(served), Some(&tag)) => {
+            assert_eq!(served.tier, ServeTier::Store, "{req:?}");
+            assert_eq!(served.response.key_hash, hash, "{req:?}");
+            assert_eq!(served.response.evaluated, tag, "{req:?}");
+        }
+        (None, None) => assert!(!indexed, "an unserved request used the index"),
+        (got, tag) => panic!("{req:?} served {got:?} with its record tagged {tag:?}"),
+    }
+    indexed
+}
+
+/// The same corpus through a server: for each pair, `a`'s record is
+/// stored (tagged with the pair's number), `a` is resolved twice (the
+/// second resolve takes its hash from the key index) and then `b`.
+/// Every served response carries the request's own folded stable hash
+/// and the record stored under it, and `b` is served through the index
+/// whenever its identity equals `a`'s. With the LRU off and no compute
+/// permits, every resolve reaches the index and none searches.
+#[test]
+fn indexed_hashes_are_the_folded_hashes() {
+    let server = TuneServer::new(
+        Arc::new(ShardedStore::mem(4)),
+        Arc::new(EvalContext::new()),
+        ServerConfig {
+            pool_limit: 0,
+            lru_capacity: 0,
+        },
+    );
+    let mut stored: HashMap<u64, u64> = HashMap::new();
+    for (tag, (a, b)) in mutation_pairs().into_iter().enumerate() {
+        stored.insert(a.stable_hash(), tag as u64);
+        server.store().put(&TuneRecord {
+            key: a.key(),
+            best: LaunchConfig::new(32, 4, 1, 1),
+            mpoints: 1.0,
+            evaluated: tag as u64,
+        });
+        resolve_exact(&server, &stored, &a);
+        assert!(
+            resolve_exact(&server, &stored, &a),
+            "a stored identity is indexed"
+        );
+        let b_indexed = resolve_exact(&server, &stored, &b);
+        if a.identity() == b.identity() {
+            assert!(b_indexed, "an equal identity takes the indexed hash");
+        }
+    }
+    let index = server.stats().index;
+    assert!(index.hits > 3000, "{} resolves used the index", index.hits);
+    assert!(server.key_index_len() <= server.store().len());
+    assert_eq!(server.stats().service.computed, 0);
 }

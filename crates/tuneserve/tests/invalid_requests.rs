@@ -12,7 +12,7 @@ use stencil_grid::Precision;
 use stencil_tuneserve::{
     ServeOutcome, ServeRequest, ServeTier, ServerConfig, ShardedStore, ShedReason, TuneServer,
 };
-use stencil_tunestore::{RequestError, TuneRequest, TunerSpec};
+use stencil_tunestore::{RequestError, TuneRequest, TuneStore, TunerSpec};
 
 fn request(space: ParameterSpace, tuner: TunerSpec) -> TuneRequest {
     TuneRequest {
@@ -89,6 +89,7 @@ fn each_invalid_request_is_refused_with_srv_004() {
     assert_eq!(stats.admission.admitted, 0);
     assert_eq!(stats.service.computed, 0);
     assert_eq!(stats.lru.len, 0, "a refusal is never cached");
+    assert_eq!(server.key_index_len(), 0, "a refusal is never indexed");
 }
 
 #[test]
@@ -113,4 +114,7 @@ fn a_batch_refuses_its_invalid_requests_and_serves_the_rest() {
     // The server is intact: the valid request is now a cache hit.
     let again = server.resolve(&ServeRequest::unbounded(valid));
     assert_eq!(again.served().map(|s| s.tier), Some(ServeTier::Lru));
+    // Only the computed and persisted request entered the key index.
+    assert_eq!(server.store().len(), 1);
+    assert_eq!(server.key_index_len(), 1);
 }

@@ -133,6 +133,7 @@ fn serving_report_carries_the_dashboard_fields() {
         "\"cache_served_ratio\"",
         "\"per_shard\"",
         "\"batch_deduped\"",
+        "\"key_index\"",
     ] {
         assert!(json.contains(field), "report JSON missing {field}: {json}");
     }

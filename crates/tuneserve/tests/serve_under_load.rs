@@ -89,6 +89,9 @@ fn duplicate_burst_computes_exactly_once() {
     let again = server.resolve(&ServeRequest::unbounded(req));
     assert_eq!(again.served().unwrap().tier, ServeTier::Lru);
     assert_eq!(server.stats().service.computed, 1);
+    // K racing resolves of one identity index it once.
+    assert_eq!(server.key_index_len(), 1);
+    assert_eq!(server.store().len(), 1);
 }
 
 /// A zero-permit server still serves everything the store already
@@ -136,6 +139,9 @@ fn saturated_pool_sheds_fresh_work_but_serves_caches() {
     let stats = frozen.stats();
     assert_eq!(stats.admission.shed_saturated, 1);
     assert_eq!(stats.service.computed, 0);
+    // The store hit is indexed, the pool-refused request is not.
+    assert_eq!(frozen.key_index_len(), 1);
+    assert_eq!(frozen.store().len(), 1);
 }
 
 /// Duplicates racing a pool of one: whoever needs a permit and cannot
@@ -166,6 +172,7 @@ fn saturated_duplicates_shed_coded_and_never_recompute() {
 
     assert_eq!(server.stats().service.computed, 1, "one search at most");
     assert!(outcomes.iter().any(|o| o.served().is_some()));
+    assert!(server.key_index_len() <= server.store().len());
     for outcome in &outcomes {
         if let Some(reason) = outcome.shed() {
             assert!(
@@ -216,6 +223,7 @@ fn budgets_triage_fresh_searches_only() {
     let code = starved.shed().expect("zero budget sheds").code();
     assert!(code == "SRV-002" || code == "SRV-003", "coded shed: {code}");
     assert_eq!(server.stats().service.computed, 0);
+    assert_eq!(server.key_index_len(), 0, "a shed request is never indexed");
 
     // Unbounded resolve fills the caches...
     assert!(server
@@ -225,6 +233,8 @@ fn budgets_triage_fresh_searches_only() {
     // ...after which even a zero budget is served from the LRU.
     let cached = server.resolve(&ServeRequest::with_budget(req, 0));
     assert_eq!(cached.served().unwrap().tier, ServeTier::Lru);
+    assert_eq!(server.key_index_len(), 1);
+    assert_eq!(server.store().len(), 1);
 }
 
 /// In-batch dedup at the server: duplicates inside one batch never
@@ -295,6 +305,7 @@ fn sharded_store_distributes_and_reports_per_shard() {
     }
     let store = server.store();
     assert_eq!(store.len(), keys.len());
+    assert_eq!(server.key_index_len(), keys.len());
     let lens = store.shard_lens();
     assert_eq!(lens.iter().sum::<usize>(), keys.len());
     assert!(
@@ -376,6 +387,61 @@ fn jsonl_shard_compaction_is_per_shard_and_epoch_bumped() {
     assert_eq!(report.reclaimed.len(), 3);
     assert_eq!(report.epochs[victim], 2);
     assert_eq!(store.len(), reqs.len());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The key index lives in the process, not the store: a server
+/// reopened over the same shard files starts with an empty index,
+/// folds each hash once, and serves the hashes the first server did.
+#[test]
+fn a_reopened_store_starts_with_an_empty_key_index() {
+    let dir = tempdir();
+    let reqs: Vec<TuneRequest> = [(2, 1), (4, 1), (2, 2)]
+        .into_iter()
+        .map(|(order, seed)| request(DeviceSpec::gtx580(), order, seed))
+        .collect();
+    let config = ServerConfig {
+        pool_limit: 1,
+        lru_capacity: 0, // every repeat reaches the index
+    };
+    let first = TuneServer::new(
+        Arc::new(ShardedStore::open_dir(&dir, 2).unwrap()),
+        Arc::new(EvalContext::new()),
+        config,
+    );
+    let hashes: Vec<u64> = reqs
+        .iter()
+        .map(|req| {
+            let outcome = first.resolve(&ServeRequest::unbounded(req.clone()));
+            outcome.served().expect("computed").response.key_hash
+        })
+        .collect();
+    assert_eq!(first.key_index_len(), reqs.len());
+    drop(first);
+
+    let reopened = TuneServer::new(
+        Arc::new(ShardedStore::open_dir(&dir, 2).unwrap()),
+        Arc::new(EvalContext::new()),
+        ServerConfig {
+            pool_limit: 0, // serves what the files hold, computes nothing
+            lru_capacity: 0,
+        },
+    );
+    assert_eq!(reopened.store().len(), reqs.len());
+    assert_eq!(reopened.key_index_len(), 0);
+    for _ in 0..2 {
+        for (req, &hash) in reqs.iter().zip(&hashes) {
+            let outcome = reopened.resolve(&ServeRequest::unbounded(req.clone()));
+            let served = outcome.served().expect("served from the files");
+            assert_eq!(served.tier, ServeTier::Store);
+            assert_eq!(served.response.key_hash, hash);
+            assert_eq!(hash, req.stable_hash());
+        }
+    }
+    let index = reopened.stats().index;
+    assert_eq!((index.misses, index.hits), (3, 3), "one fold per identity");
+    assert_eq!(reopened.key_index_len(), reqs.len());
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -397,6 +397,33 @@ pub fn first_occurrences(ids: &[RequestIdentity]) -> Vec<usize> {
         .collect()
 }
 
+/// Spread a batch's results over its slots: `canonical` is what
+/// [`first_occurrences`] returned and `resolved` holds `(slot, value)`
+/// for each of its canonical slots. A canonical slot's value is moved
+/// into place; a duplicate clones its canonical slot's value and
+/// passes the clone through `dup`.
+pub fn scatter_occurrences<T: Clone>(
+    canonical: &[usize],
+    resolved: Vec<(usize, T)>,
+    mut dup: impl FnMut(T) -> T,
+) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = vec![None; canonical.len()];
+    for (slot, value) in resolved {
+        slots[slot] = Some(value);
+    }
+    // A first occurrence precedes its duplicates, so each clone reads
+    // a slot that is already filled.
+    for (i, &c) in canonical.iter().enumerate() {
+        if c != i {
+            slots[i] = slots[c].clone().map(&mut dup);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every canonical slot is resolved"))
+        .collect()
+}
+
 impl std::hash::Hash for TuneKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
@@ -599,5 +626,32 @@ mod tests {
             assert_eq!(TunerKind::from_parts(t.label(), t.params()), Some(t));
         }
         assert_eq!(TunerKind::from_parts("oracle", [0, 0, 0]), None);
+    }
+
+    /// A value that counts its clones.
+    struct Counted(u64, std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.1.set(self.1.get() + 1);
+            Counted(self.0, self.1.clone())
+        }
+    }
+
+    #[test]
+    fn scatter_moves_canonical_slots_and_clones_duplicates() {
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let canonical = [0, 0, 2, 0, 2, 5];
+        let resolved = [5, 0, 2]
+            .into_iter()
+            .map(|slot| (slot, Counted(slot as u64, clones.clone())))
+            .collect();
+        // Clones made for the `resolved` list itself are not the
+        // scatter's.
+        clones.set(0);
+        let out = scatter_occurrences(&canonical, resolved, |v| Counted(v.0 + 100, v.1));
+        let values: Vec<u64> = out.iter().map(|v| v.0).collect();
+        assert_eq!(values, [0, 100, 2, 100, 102, 5]);
+        assert_eq!(clones.get(), 3, "one clone per duplicate, none else");
     }
 }

@@ -66,7 +66,10 @@ pub mod singleflight;
 pub mod store;
 pub mod util;
 
-pub use key::{first_occurrences, BestConfig, RequestIdentity, TuneKey, TunerKind, SCHEMA_VERSION};
+pub use key::{
+    first_occurrences, scatter_occurrences, BestConfig, RequestIdentity, TuneKey, TunerKind,
+    SCHEMA_VERSION,
+};
 pub use record::{RecordError, TuneRecord};
 pub use service::{
     RequestError, ResolveTrace, ServiceStats, TuneRequest, TuneResponse, TuneService, TunerSpec,

@@ -20,7 +20,6 @@
 //! Batches fan out over the rayon worker pool; duplicates inside one
 //! batch — requests with equal [`RequestIdentity`] — resolve once.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,7 +34,9 @@ use stencil_autotune::{
     ParameterSpace, Provenance, TuneOutcome, TuneSample,
 };
 
-use crate::key::{first_occurrences, stable_hash_of, RequestIdentity, TuneKey, TunerKind};
+use crate::key::{
+    first_occurrences, scatter_occurrences, stable_hash_of, RequestIdentity, TuneKey, TunerKind,
+};
 use crate::record::TuneRecord;
 use crate::singleflight::{Joined, SingleFlight};
 use crate::store::TuneStore;
@@ -418,19 +419,12 @@ impl TuneService {
             .par_iter()
             .map(|&i| (i, self.resolve(&requests[i])))
             .collect();
-        let by_slot: HashMap<usize, TuneResponse> = resolved.into_iter().collect();
-        canonical
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                if i != c {
-                    // An in-batch duplicate: it shares the canonical
-                    // occurrence's work exactly like a condvar waiter.
-                    self.shared.fetch_add(1, Ordering::Relaxed);
-                }
-                by_slot[&c].clone()
-            })
-            .collect()
+        // An in-batch duplicate shares the canonical occurrence's work
+        // exactly like a condvar waiter.
+        scatter_occurrences(&canonical, resolved, |response| {
+            self.shared.fetch_add(1, Ordering::Relaxed);
+            response
+        })
     }
 
     fn compute(&self, key: &TuneKey, req: &TuneRequest) -> TuneResponse {
