@@ -21,6 +21,7 @@
 
 use gpu_sim::{fnv1a_word, DeviceSpec, GridDims, FNV_OFFSET_BASIS};
 use inplane_core::{KernelSpec, LaunchConfig};
+use stencil_lint::sweep::enumerate_configs;
 use stencil_lint::{explain_feasibility, Severity};
 
 /// An enumerated, constraint-filtered set of launch configurations.
@@ -80,34 +81,24 @@ impl ParameterSpace {
         kernel: &KernelSpec,
         dims: &GridDims,
     ) -> (Self, SpaceAudit) {
-        let half_warp = device.half_wavefront();
-        let reg_factors = [1usize, 2, 4, 8];
         let mut configs = Vec::new();
         let mut audit = SpaceAudit::default();
         let mut histogram: std::collections::BTreeMap<&'static str, u64> =
             std::collections::BTreeMap::new();
-        for tx in (half_warp..=512).step_by(half_warp) {
-            for ty in 1..=32usize {
-                for rx in reg_factors {
-                    for ry in reg_factors {
-                        let c = LaunchConfig::new(tx, ty, rx, ry);
-                        audit.examined += 1;
-                        let diags = explain_feasibility(device, kernel, dims, &c);
-                        // The enumeration excludes both hard constraint
-                        // violations (errors) and sub-warp blocks
-                        // (LNT-R101, convention).
-                        let mut rejected = false;
-                        for d in &diags {
-                            if d.severity == Severity::Error || d.code == "LNT-R101" {
-                                rejected = true;
-                                *histogram.entry(d.code).or_insert(0) += 1;
-                            }
-                        }
-                        if !rejected {
-                            configs.push(c);
-                        }
-                    }
+        for c in enumerate_configs(device) {
+            audit.examined += 1;
+            let diags = explain_feasibility(device, kernel, dims, &c);
+            // The enumeration excludes both hard constraint violations
+            // (errors) and sub-warp blocks (LNT-R101, convention).
+            let mut rejected = false;
+            for d in &diags {
+                if d.severity == Severity::Error || d.code == "LNT-R101" {
+                    rejected = true;
+                    *histogram.entry(d.code).or_insert(0) += 1;
                 }
+            }
+            if !rejected {
+                configs.push(c);
             }
         }
         audit.accepted = configs.len();

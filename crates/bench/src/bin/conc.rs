@@ -16,6 +16,7 @@
 //! ```
 
 use conc_check::CheckReport;
+use stencil_bench::opts::{parse_argv, CliError, Flags};
 use stencil_tuneserve::conc::{self, ProofOutcome};
 use stencil_tunestore::atomic_write;
 
@@ -29,34 +30,25 @@ struct Args {
     out: String,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: conc [--budget N] [--min-schedules N] [--out BENCH_conc.json]\n\
-         Runs the serving layer's conc-check proofs (pool admission, permit\n\
-         unwind, single-flight burst, LRU adversarial, shard isolation, key\n\
-         index) with a per-proof schedule budget and writes the exploration\n\
-         report. Exits non-zero on any CCK-* finding or an under-explored run."
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: conc [--budget N] [--min-schedules N] [--out BENCH_conc.json]
+Runs the serving layer's conc-check proofs (pool admission, permit
+unwind, single-flight burst, LRU adversarial, shard isolation, key
+index) with a per-proof schedule budget and writes the exploration
+report. Exits non-zero on any CCK-* finding or an under-explored run.";
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, CliError> {
+    let mut a = Args {
         budget: 16_384,
         min_schedules: 10_000,
         out: "BENCH_conc.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--budget" => args.budget = val().parse().unwrap_or_else(|_| usage()),
-            "--min-schedules" => args.min_schedules = val().parse().unwrap_or_else(|_| usage()),
-            "--out" => args.out = val(),
-            _ => usage(),
-        }
-    }
-    args
+    Flags::default()
+        .value("--budget", |v| a.budget = v)
+        .value("--min-schedules", |v| a.min_schedules = v)
+        .value("--out", |v| a.out = v)
+        .parse(argv)?;
+    Ok(a)
 }
 
 fn report_json(out: &mut String, r: &CheckReport) {
@@ -111,7 +103,7 @@ fn to_json(budget: u64, outcomes: &[ProofOutcome]) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_argv(USAGE, parse_args);
     let outcomes = conc::run_all(args.budget);
 
     let mut failed = false;
@@ -157,4 +149,31 @@ fn main() {
         println!("wrote {}", args.out);
     }
     std::process::exit(if failed { 1 } else { 0 });
+}
+
+#[cfg(test)]
+#[path = "../../tests/common/argv.rs"]
+mod argv_property;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn never_panics_on_generated_argv() {
+        let (ok, refused) = argv_property::run(
+            0xc0c0,
+            &["--budget", "--min-schedules", "--out", "--bugdet", "-h"],
+            &[
+                "0",
+                "18446744073709551615",
+                "18446744073709551616",
+                "-1",
+                "x",
+                "",
+            ],
+            parse_args,
+        );
+        assert!(ok > 0 && refused > 0, "{ok} accepted, {refused} refused");
+    }
 }

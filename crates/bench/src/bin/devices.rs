@@ -21,6 +21,7 @@ use std::process::ExitCode;
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{KernelSpec, Method, Variant};
 use stencil_bench::exp::tune_best_auto;
+use stencil_bench::opts::{parse_argv, CliError, Flags};
 use stencil_grid::Precision;
 use stencil_lint::json_string;
 
@@ -29,35 +30,26 @@ struct Args {
     out: String,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: devices [--full] [--out PATH]\n\
-         Auto-tunes laplacian SP on every registered device (NVIDIA + wave64)\n\
-         and writes a per-vendor JSON figure. --full searches the unreduced\n\
-         space; the default quick grid is the CI configuration."
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: devices [--full] [--out PATH]
+Auto-tunes laplacian SP on every registered device (NVIDIA + wave64)
+and writes a per-vendor JSON figure. --full searches the unreduced
+space; the default quick grid is the CI configuration.";
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, CliError> {
+    let mut a = Args {
         quick: true,
         out: "BENCH_devices.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--full" => args.quick = false,
-            "--out" => args.out = it.next().unwrap_or_else(|| usage()),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    args
+    Flags::default()
+        .switch("--full", || a.quick = false)
+        .value("--out", |v| a.out = v)
+        .parse(argv)?;
+    Ok(a)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = parse_argv(USAGE, parse_args);
     let dims = GridDims::paper();
     let devices = DeviceSpec::all_devices();
     assert!(
@@ -147,5 +139,25 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+#[path = "../../tests/common/argv.rs"]
+mod argv_property;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn never_panics_on_generated_argv() {
+        let (ok, refused) = argv_property::run(
+            0xde71,
+            &["--full", "--out", "--quick", "--help"],
+            &["BENCH_devices.json", "", "--full", "x"],
+            parse_args,
+        );
+        assert!(ok > 0 && refused > 0, "{ok} accepted, {refused} refused");
     }
 }

@@ -25,6 +25,7 @@
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{lower_step, KernelSpec, LaunchConfig, Method, Variant};
 use stencil_apps::{Hyperthermia, Laplacian3d, Poisson, Upstream};
+use stencil_bench::opts::{parse_argv, precision_arg, CliError, Flags};
 use stencil_grid::{MultiGridKernel, Precision};
 use stencil_lint::sweep::{
     enumerate_configs, enumerate_configs_quick, lint_configs_opts, LintOptions, SweepReport,
@@ -40,16 +41,32 @@ const SCHEMA_VERSION: u32 = 3;
 
 struct Args {
     devices: Vec<DeviceSpec>,
-    kernels: Vec<&'static str>,
+    kernels: &'static [(&'static str, App)],
     precision: Precision,
     json: bool,
     quick: bool,
     verify_kernels: bool,
 }
 
-fn usage() -> ! {
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum App {
+    Laplacian,
+    Poisson,
+    Hyperthermia,
+    Upstream,
+}
+
+/// The application kernels `--kernel` names (`all` selects every one).
+const APPS: [(&str, App); 4] = [
+    ("laplacian", App::Laplacian),
+    ("poisson", App::Poisson),
+    ("hyperthermia", App::Hyperthermia),
+    ("upstream", App::Upstream),
+];
+
+fn usage() -> String {
     let devices: Vec<&str> = DeviceSpec::preset_keys().collect();
-    eprintln!(
+    format!(
         "usage: lint [--device {}|all]\n\
          \x20           [--kernel laplacian|poisson|hyperthermia|upstream|all]\n\
          \x20           [--precision sp|dp] [--json] [--quick] [--verify-kernels]\n\
@@ -59,59 +76,46 @@ fn usage() -> ! {
          --verify-kernels additionally proves the emitted CUDA/OpenCL source by\n\
          abstract interpretation (LNT-K diagnostics).",
         devices.join("|")
-    );
-    std::process::exit(2)
+    )
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, CliError> {
+    let mut a = Args {
         devices: vec![DeviceSpec::gtx580()],
-        kernels: vec!["laplacian"],
+        kernels: &APPS[..1],
         precision: Precision::Single,
         json: false,
         quick: false,
         verify_kernels: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--device" => {
-                args.devices = match val().as_str() {
-                    "all" => DeviceSpec::all_devices(),
-                    key => vec![DeviceSpec::by_key(key).unwrap_or_else(|| usage())],
-                }
-            }
-            "--kernel" => {
-                args.kernels = match val().as_str() {
-                    "laplacian" => vec!["laplacian"],
-                    "poisson" => vec!["poisson"],
-                    "hyperthermia" => vec!["hyperthermia"],
-                    "upstream" => vec!["upstream"],
-                    "all" => vec!["laplacian", "poisson", "hyperthermia", "upstream"],
-                    _ => usage(),
-                }
-            }
-            "--precision" => {
-                args.precision = match val().as_str() {
-                    "sp" => Precision::Single,
-                    "dp" => Precision::Double,
-                    _ => usage(),
-                }
-            }
-            "--json" => args.json = true,
-            "--quick" => args.quick = true,
-            "--verify-kernels" => args.verify_kernels = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    args
+    Flags::default()
+        .parsed(
+            "--device",
+            |s| match s {
+                "all" => Some(DeviceSpec::all_devices()),
+                key => DeviceSpec::by_key(key).map(|d| vec![d]),
+            },
+            |v| a.devices = v,
+        )
+        .parsed(
+            "--kernel",
+            |s| match s {
+                "all" => Some(&APPS[..]),
+                _ => APPS.iter().find(|k| k.0 == s).map(std::slice::from_ref),
+            },
+            |v| a.kernels = v,
+        )
+        .parsed("--precision", precision_arg, |v| a.precision = v)
+        .switch("--json", || a.json = true)
+        .switch("--quick", || a.quick = true)
+        .switch("--verify-kernels", || a.verify_kernels = true)
+        .parse(argv)?;
+    Ok(a)
 }
 
-/// Kernel specs for one named application at one precision: the
+/// Kernel specs for one application at one precision: the
 /// forward-plane baseline plus every in-plane variant.
-fn specs_for(kernel: &str, precision: Precision) -> Vec<KernelSpec> {
+fn specs_for(app: App, precision: Precision) -> Vec<KernelSpec> {
     let methods = [
         Method::ForwardPlane,
         Method::InPlane(Variant::Classical),
@@ -122,21 +126,24 @@ fn specs_for(kernel: &str, precision: Precision) -> Vec<KernelSpec> {
     methods
         .iter()
         .map(|&m| match precision {
-            Precision::Single => app_spec::<f32>(kernel, m),
-            Precision::Double => app_spec::<f64>(kernel, m),
+            Precision::Single => app_spec::<f32>(app, m),
+            Precision::Double => app_spec::<f64>(app, m),
         })
         .collect()
 }
 
-fn app_spec<T: stencil_grid::Real>(kernel: &str, method: Method) -> KernelSpec {
-    match kernel {
-        "laplacian" => {
+fn app_spec<T: stencil_grid::Real>(app: App, method: Method) -> KernelSpec {
+    match app {
+        App::Laplacian => {
             KernelSpec::from_app(method, &Laplacian3d::default() as &dyn MultiGridKernel<T>)
         }
-        "poisson" => KernelSpec::from_app(method, &Poisson::default() as &dyn MultiGridKernel<T>),
-        "hyperthermia" => KernelSpec::from_app(method, &Hyperthermia as &dyn MultiGridKernel<T>),
-        "upstream" => KernelSpec::from_app(method, &Upstream::default() as &dyn MultiGridKernel<T>),
-        _ => unreachable!("parse_args validated the kernel name"),
+        App::Poisson => {
+            KernelSpec::from_app(method, &Poisson::default() as &dyn MultiGridKernel<T>)
+        }
+        App::Hyperthermia => KernelSpec::from_app(method, &Hyperthermia as &dyn MultiGridKernel<T>),
+        App::Upstream => {
+            KernelSpec::from_app(method, &Upstream::default() as &dyn MultiGridKernel<T>)
+        }
     }
 }
 
@@ -168,7 +175,7 @@ fn oracle_json(device: &DeviceSpec, spec: &KernelSpec, precision: Precision) -> 
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_argv(&usage(), parse_args);
     let dims = GridDims::paper();
     let opts = LintOptions {
         verify_kernels: args.verify_kernels,
@@ -182,8 +189,8 @@ fn main() {
         } else {
             enumerate_configs(device)
         };
-        for kernel_name in &args.kernels {
-            for spec in specs_for(kernel_name, args.precision) {
+        for &(_, app) in args.kernels {
+            for spec in specs_for(app, args.precision) {
                 let results = lint_configs_opts(device, &spec, &dims, &configs, opts);
                 reports.push(SweepReport::from_results(device, &spec, &results));
                 if args.json {
@@ -219,5 +226,58 @@ fn main() {
     }
     if failed > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+#[path = "../../tests/common/argv.rs"]
+mod argv_property;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_is_a_typed_choice() {
+        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect();
+        let all = parse_args(argv(&["--kernel", "all"])).unwrap();
+        assert_eq!(all.kernels, APPS);
+        let one = parse_args(argv(&["--kernel", "upstream", "--precision", "dp"])).unwrap();
+        assert_eq!(
+            (one.kernels, one.precision),
+            (&[("upstream", App::Upstream)][..], Precision::Double)
+        );
+        assert!(parse_args(argv(&["--kernel", "Laplacian"])).is_err());
+    }
+
+    #[test]
+    fn never_panics_on_generated_argv() {
+        let (ok, refused) = argv_property::run(
+            0x1147,
+            &[
+                "--device",
+                "--kernel",
+                "--precision",
+                "--json",
+                "--quick",
+                "--verify-kernels",
+                "--kernels",
+                "-h",
+            ],
+            &[
+                "gtx580",
+                "hd7970",
+                "all",
+                "laplacian",
+                "upstream",
+                "sp",
+                "dp",
+                "fp16",
+                "",
+                "x",
+            ],
+            parse_args,
+        );
+        assert!(ok > 0 && refused > 0, "{ok} accepted, {refused} refused");
     }
 }

@@ -18,6 +18,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use stencil_bench::opts::{parse_argv, CliError, Flags};
 use stencil_tuneserve::{
     replay, zipf_trace, ReplayConfig, ReplayOutcome, ServerConfig, ServingReport, ShardedStore,
     TrafficMix, TuneServer,
@@ -25,93 +26,62 @@ use stencil_tuneserve::{
 
 struct Args {
     smoke: bool,
-    requests: usize,
-    workers: usize,
-    zipf: f64,
-    burst: f64,
+    replay: ReplayConfig,
     shards: usize,
-    pool: usize,
-    lru: usize,
-    seed: u64,
-    budget_us: Option<u64>,
+    server: ServerConfig,
     store_dir: Option<String>,
     out: String,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serving [--smoke] [--requests N] [--workers N] [--zipf S] [--burst P]\n\
-         \x20              [--shards N] [--pool N] [--lru N] [--seed N] [--budget-us N]\n\
-         \x20              [--store-dir DIR] [--out PATH]\n\
-         --smoke     small fixed-seed universe, one closed-loop worker, plus a\n\
-         \x20           determinism re-run of the cold replay (the CI configuration)\n\
-         --zipf      Zipf exponent of the key popularity (default 1.1)\n\
-         --burst     probability a request repeats the previous key (default 0.2)\n\
-         --shards    store shards, at least 1 (default 8)\n\
-         --workers   concurrent replay clients, at least 1\n\
-         --pool      compute-pool permit bound (0 = shed every fresh search)\n\
-         --lru       hot-key LRU capacity (0 disables the cache)\n\
-         --budget-us per-request deadline budget in microseconds\n\
-         --store-dir back the shards with JSONL files under DIR instead of memory"
-    );
-    std::process::exit(2)
-}
+const USAGE: &str = "\
+usage: serving [--smoke] [--requests N] [--workers N] [--zipf S] [--burst P]
+               [--shards N] [--pool N] [--lru N] [--seed N] [--budget-us N]
+               [--store-dir DIR] [--out PATH]
+--smoke     small fixed-seed universe, one closed-loop worker, plus a
+            determinism re-run of the cold replay (the CI configuration)
+--zipf      Zipf exponent of the key popularity (default 1.1)
+--burst     probability a request repeats the previous key (default 0.2)
+--shards    store shards, at least 1 (default 8)
+--workers   concurrent replay clients, at least 1
+--pool      compute-pool permit bound (0 = shed every fresh search)
+--lru       hot-key LRU capacity (0 disables the cache)
+--budget-us per-request deadline budget in microseconds
+--store-dir back the shards with JSONL files under DIR instead of memory";
 
-fn parse_args() -> Args {
-    let defaults = ReplayConfig::default();
-    let mut args = Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, CliError> {
+    let mut a = Args {
         smoke: false,
-        requests: defaults.requests,
-        workers: defaults.workers,
-        zipf: defaults.zipf_exponent,
-        burst: defaults.burstiness,
+        replay: ReplayConfig::default(),
         shards: 8,
-        pool: ServerConfig::default().pool_limit,
-        lru: ServerConfig::default().lru_capacity,
-        seed: defaults.seed,
-        budget_us: None,
+        server: ServerConfig::default(),
         store_dir: None,
         out: "BENCH_serving.json".to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--requests" => args.requests = val().parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = val().parse().unwrap_or_else(|_| usage()),
-            "--zipf" => args.zipf = val().parse().unwrap_or_else(|_| usage()),
-            "--burst" => args.burst = val().parse().unwrap_or_else(|_| usage()),
-            "--shards" => args.shards = val().parse().unwrap_or_else(|_| usage()),
-            "--pool" => args.pool = val().parse().unwrap_or_else(|_| usage()),
-            "--lru" => args.lru = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--budget-us" => args.budget_us = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--store-dir" => args.store_dir = Some(val()),
-            "--out" => args.out = val(),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
     // Zero shards or workers, and a popularity exponent or repeat
     // probability outside its range, mean nothing; zero pool permits
     // and a zero-capacity LRU are the documented cache-only and
     // cache-off modes.
-    let valid = args.shards >= 1
-        && args.workers >= 1
-        && args.zipf.is_finite()
-        && args.zipf >= 0.0
-        && (0.0..=1.0).contains(&args.burst);
-    if !valid {
-        usage();
-    }
-    if args.smoke {
+    Flags::default()
+        .switch("--smoke", || a.smoke = true)
+        .value("--requests", |v| a.replay.requests = v)
+        .range("--workers", 1.., |v| a.replay.workers = v)
+        .range("--zipf", 0.0..=f64::MAX, |v| a.replay.zipf_exponent = v)
+        .range("--burst", 0.0..=1.0, |v| a.replay.burstiness = v)
+        .range("--shards", 1.., |v| a.shards = v)
+        .value("--pool", |v| a.server.pool_limit = v)
+        .value("--lru", |v| a.server.lru_capacity = v)
+        .value("--seed", |v| a.replay.seed = v)
+        .value("--budget-us", |v| a.replay.budget_micros = Some(v))
+        .value("--store-dir", |v| a.store_dir = Some(v))
+        .value("--out", |v| a.out = v)
+        .parse(argv)?;
+    if a.smoke {
         // The CI configuration: small universe, fixed seed, one
         // closed-loop worker so the provenance mix is deterministic.
-        args.requests = args.requests.min(400);
-        args.workers = 1;
+        a.replay.requests = a.replay.requests.min(400);
+        a.replay.workers = 1;
     }
-    args
+    Ok(a)
 }
 
 fn fresh_server(args: &Args) -> TuneServer {
@@ -121,13 +91,7 @@ fn fresh_server(args: &Args) -> TuneServer {
         ),
         None => Arc::new(ShardedStore::mem(args.shards)),
     };
-    TuneServer::with_global_ctx(
-        store,
-        ServerConfig {
-            pool_limit: args.pool,
-            lru_capacity: args.lru,
-        },
-    )
+    TuneServer::with_global_ctx(store, args.server)
 }
 
 fn print_outcome(label: &str, r: &ReplayOutcome) {
@@ -160,7 +124,8 @@ fn print_outcome(label: &str, r: &ReplayOutcome) {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = parse_argv(USAGE, parse_args);
+    let r = &args.replay;
     let mix = if args.smoke {
         TrafficMix::smoke()
     } else {
@@ -170,24 +135,24 @@ fn main() -> ExitCode {
     assert!(!universe.is_empty(), "traffic universe is empty");
     let trace = zipf_trace(
         universe.len(),
-        args.requests,
-        args.zipf,
-        args.burst,
-        args.seed,
+        r.requests,
+        r.zipf_exponent,
+        r.burstiness,
+        r.seed,
     );
     println!(
         "serving bench: {} keys, {} requests, {} worker(s), zipf {}, burst {}, pool {}, lru {}",
         universe.len(),
         trace.len(),
-        args.workers,
-        args.zipf,
-        args.burst,
-        args.pool,
-        args.lru,
+        r.workers,
+        r.zipf_exponent,
+        r.burstiness,
+        args.server.pool_limit,
+        args.server.lru_capacity,
     );
 
     let server = fresh_server(&args);
-    let cold = replay(&server, &universe, &trace, args.workers, args.budget_us);
+    let cold = replay(&server, &universe, &trace, r.workers, r.budget_micros);
     print_outcome("cold", &cold);
 
     let mut failures = Vec::new();
@@ -202,8 +167,8 @@ fn main() -> ExitCode {
             &fresh_server(&args),
             &universe,
             &trace,
-            args.workers,
-            args.budget_us,
+            r.workers,
+            r.budget_micros,
         );
         if rerun.deterministic_shape() == cold.deterministic_shape() {
             println!("determinism: cold replay re-run matches exactly");
@@ -216,7 +181,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let warm = replay(&server, &universe, &trace, args.workers, args.budget_us);
+    let warm = replay(&server, &universe, &trace, r.workers, r.budget_micros);
     print_outcome("warm", &warm);
     // The zero-re-search contract holds when the cold pass persisted
     // every key it met — i.e. shed nothing. A cold pass that shed
@@ -243,17 +208,10 @@ fn main() -> ExitCode {
     }
 
     let report = ServingReport {
-        config: ReplayConfig {
-            requests: args.requests,
-            workers: args.workers,
-            zipf_exponent: args.zipf,
-            burstiness: args.burst,
-            budget_micros: args.budget_us,
-            seed: args.seed,
-        },
+        config: args.replay,
         shards: args.shards,
-        pool_limit: args.pool,
-        lru_capacity: args.lru,
+        pool_limit: args.server.pool_limit,
+        lru_capacity: args.server.lru_capacity,
         universe_keys: universe.len(),
         cold,
         warm,
@@ -272,5 +230,52 @@ fn main() -> ExitCode {
             eprintln!("FAIL: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+#[path = "../../tests/common/argv.rs"]
+mod argv_property;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn never_panics_on_generated_argv() {
+        let (ok, refused) = argv_property::run(
+            0x5e7e,
+            &[
+                "--smoke",
+                "--requests",
+                "--workers",
+                "--zipf",
+                "--burst",
+                "--shards",
+                "--pool",
+                "--lru",
+                "--seed",
+                "--budget-us",
+                "--store-dir",
+                "--out",
+                "--worker",
+                "-h",
+            ],
+            &[
+                "0",
+                "1",
+                "1.0000001",
+                "-0.1",
+                "1.7976931348623157e308",
+                "1e309",
+                "NaN",
+                "-1",
+                "18446744073709551615",
+                "18446744073709551616",
+                "x",
+            ],
+            parse_args,
+        );
+        assert!(ok > 0 && refused > 0, "{ok} accepted, {refused} refused");
     }
 }

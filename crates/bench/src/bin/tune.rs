@@ -8,11 +8,13 @@
 //!     --beta 5 --lx 512 --ly 512 --lz 256
 //! ```
 
+use std::ops::Bound::{Excluded, Included};
+
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{KernelSpec, Method, Variant};
 use stencil_autotune::{exhaustive_tune, model_based_tune, ParameterSpace};
 use stencil_bench::exp::service_at;
-use stencil_bench::opts::TUNE_STORE_ENV;
+use stencil_bench::opts::{parse_argv, precision_arg, tune_store_path, CliError, Flags};
 use stencil_grid::Precision;
 use stencil_tunestore::{TuneRequest, TunerSpec};
 
@@ -52,10 +54,10 @@ fn parse_method(s: &str) -> Option<Method> {
         .find(|&m| m.label() == s || method_arg(m) == s)
 }
 
-fn usage() -> ! {
+fn usage() -> String {
     let devices: Vec<&str> = DeviceSpec::preset_keys().collect();
     let methods: Vec<String> = Method::ALL.into_iter().map(method_arg).collect();
-    eprintln!(
+    format!(
         "usage: tune [--device {}] [--order N] [--precision sp|dp]\n\
          \x20           [--method {}]\n\
          \x20           [--beta PCT] [--lx N --ly N --lz N] [--seed N] [--store PATH]\n\
@@ -67,12 +69,11 @@ fn usage() -> ! {
          served from disk bit-identically without re-searching.",
         devices.join("|"),
         methods.join("|")
-    );
-    std::process::exit(2)
+    )
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args(argv: Vec<String>) -> Result<Args, CliError> {
+    let mut a = Args {
         device: DeviceSpec::gtx580(),
         order: 4,
         precision: Precision::Single,
@@ -80,45 +81,32 @@ fn parse_args() -> Args {
         beta: None,
         dims: GridDims::paper(),
         seed: 1,
-        store: std::env::var(TUNE_STORE_ENV).ok().filter(|p| !p.is_empty()),
+        store: None,
     };
-    let mut it = std::env::args().skip(1);
-    let (mut lx, mut ly, mut lz) = (512usize, 512usize, 256usize);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--device" => args.device = DeviceSpec::by_key(&val()).unwrap_or_else(|| usage()),
-            "--order" => args.order = val().parse().unwrap_or_else(|_| usage()),
-            "--precision" => {
-                args.precision = match val().as_str() {
-                    "sp" => Precision::Single,
-                    "dp" => Precision::Double,
-                    _ => usage(),
-                }
-            }
-            "--method" => args.method = parse_method(&val()).unwrap_or_else(|| usage()),
-            "--beta" => args.beta = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--lx" => lx = val().parse().unwrap_or_else(|_| usage()),
-            "--ly" => ly = val().parse().unwrap_or_else(|_| usage()),
-            "--lz" => lz = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--store" => args.store = Some(val()),
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
-    let beta_ok = args.beta.is_none_or(|b| b.is_finite() && b > 0.0);
-    let order_ok = (2..=MAX_EXTENT).contains(&args.order) && args.order.is_multiple_of(2);
-    let dims_ok = [lx, ly, lz].iter().all(|d| (1..=MAX_EXTENT).contains(d));
-    if !order_ok || !dims_ok || !beta_ok {
-        usage();
-    }
-    args.dims = GridDims::new(lx, ly, lz);
-    args
+    let even_order = |s: &str| {
+        s.parse()
+            .ok()
+            .filter(|o: &usize| (2..=MAX_EXTENT).contains(o) && o.is_multiple_of(2))
+    };
+    Flags::default()
+        .parsed("--device", DeviceSpec::by_key, |v| a.device = v)
+        .parsed("--order", even_order, |v| a.order = v)
+        .parsed("--precision", precision_arg, |v| a.precision = v)
+        .parsed("--method", parse_method, |v| a.method = v)
+        .range("--beta", (Excluded(0.0), Included(f64::MAX)), |v| {
+            a.beta = Some(v)
+        })
+        .range("--lx", 1..=MAX_EXTENT, |v| a.dims.lx = v)
+        .range("--ly", 1..=MAX_EXTENT, |v| a.dims.ly = v)
+        .range("--lz", 1..=MAX_EXTENT, |v| a.dims.lz = v)
+        .value("--seed", |v| a.seed = v)
+        .value("--store", |v| a.store = Some(v))
+        .parse(argv)?;
+    Ok(a)
 }
 
 fn main() {
-    let a = parse_args();
+    let a = parse_argv(&usage(), parse_args);
     let kernel = KernelSpec::star_order(a.method, a.order, a.precision);
     println!(
         "tuning {} on {} over {}x{}x{}",
@@ -140,7 +128,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if let Some(svc) = a.store.as_deref().and_then(service_at) {
+    if let Some(svc) = tune_store_path(a.store).as_deref().and_then(service_at) {
         let tuner = match a.beta {
             Some(beta_percent) => TunerSpec::ModelBased { beta_percent },
             None => TunerSpec::Exhaustive,
@@ -192,5 +180,85 @@ fn main() {
                 println!("  {} -> {:.0} MPoint/s", s.config, s.mpoints);
             }
         }
+    }
+}
+
+#[cfg(test)]
+#[path = "../../tests/common/argv.rs"]
+mod argv_property;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, CliError> {
+        parse_args(args.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn declared_ranges_admit_their_edges_only() {
+        for ok in [
+            ["--order", "2"],
+            ["--order", "65536"],
+            ["--lx", "1"],
+            ["--lz", "65536"],
+            ["--beta", "5e-324"],
+            ["--beta", "1.7976931348623157e308"],
+        ] {
+            assert!(parse(&ok).is_ok(), "{ok:?}");
+        }
+        for bad in [
+            ["--order", "1"],
+            ["--order", "65538"],
+            ["--order", "5"],
+            ["--lx", "65537"],
+            ["--ly", "0"],
+            ["--beta", "0"],
+            ["--beta", "-0"],
+            ["--beta", "inf"],
+        ] {
+            let why = format!("invalid value `{}` for `{}`", bad[1], bad[0]);
+            assert!(parse(&bad).err() == Some(CliError::Usage(why)), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn never_panics_on_generated_argv() {
+        let (ok, refused) = argv_property::run(
+            0x7e7e,
+            &[
+                "--device",
+                "--order",
+                "--precision",
+                "--method",
+                "--beta",
+                "--lx",
+                "--ly",
+                "--lz",
+                "--seed",
+                "--store",
+                "--ordr",
+                "-h",
+            ],
+            &[
+                "0",
+                "1",
+                "2",
+                "64",
+                "65536",
+                "65537",
+                "-1",
+                "5",
+                "NaN",
+                "inf",
+                "1e-320",
+                "hd7970",
+                "sp",
+                "full-slice",
+                "x",
+            ],
+            parse_args,
+        );
+        assert!(ok > 0 && refused > 0, "{ok} accepted, {refused} refused");
     }
 }

@@ -12,14 +12,11 @@
 
 use gpu_sim::DeviceSpec;
 use inplane_core::{execute_step, EvalContext, ExecStats, KernelSpec, Method, Variant};
-use stencil_autotune::{
-    exhaustive_tune_with, model_based_tune_with, stochastic_tune_with, summarize_with,
-    AnnealOptions, ParameterSpace, TuneOutcome,
-};
-use stencil_bench::exp::service_at;
+use stencil_autotune::{summarize_with, AnnealOptions, ParameterSpace};
+use stencil_bench::exp::{global_service, tune};
 use stencil_bench::{fmt, RunOpts};
 use stencil_grid::{Boundary, FillPattern, Grid3, Precision, StarStencil};
-use stencil_tunestore::{TuneRequest, TuneService, TunerSpec};
+use stencil_tunestore::TunerSpec;
 
 /// Replay the winning configuration functionally through the plan
 /// interpreter on a small grid: the instrumented [`ExecStats`] tie the
@@ -40,59 +37,9 @@ fn replay_winner(kernel: &KernelSpec, config: &inplane_core::LaunchConfig) -> Ex
     )
 }
 
-/// Resolve one strategy, through the service when one is mounted.
-/// Returns the outcome plus the configurations the *producing* search
-/// executed (meaningful even when the result was served from the store).
-fn run_strategy(
-    svc: Option<&TuneService>,
-    dev: &DeviceSpec,
-    kernel: &KernelSpec,
-    dims: gpu_sim::GridDims,
-    space: &ParameterSpace,
-    tuner: TunerSpec,
-    seed: u64,
-) -> (TuneOutcome, usize) {
-    match svc {
-        Some(svc) => {
-            let resp = svc.resolve(&TuneRequest {
-                device: dev.clone(),
-                kernel: kernel.clone(),
-                dims,
-                space: space.clone(),
-                tuner,
-                seed,
-            });
-            let executed = resp.evaluated as usize;
-            (resp.into_outcome(), executed)
-        }
-        None => {
-            let ctx = EvalContext::global();
-            match tuner {
-                TunerSpec::Exhaustive => {
-                    let out = exhaustive_tune_with(ctx, dev, kernel, dims, space, seed);
-                    let executed = out.evaluated();
-                    (out, executed)
-                }
-                TunerSpec::ModelBased { beta_percent } => {
-                    let out =
-                        model_based_tune_with(ctx, dev, kernel, dims, space, beta_percent, seed);
-                    let executed = out.executed;
-                    (out.into_outcome(), executed)
-                }
-                TunerSpec::Stochastic(opts) => {
-                    let out = stochastic_tune_with(ctx, dev, kernel, dims, space, &opts, seed);
-                    let executed = out.executed;
-                    (out.into_outcome(), executed)
-                }
-            }
-        }
-    }
-}
-
 fn main() {
     let opts = RunOpts::from_env();
     let dims = opts.dims();
-    let svc = opts.tune_store.as_deref().and_then(service_at);
     let mut table = fmt::Table::new(&[
         "Device",
         "Order",
@@ -116,8 +63,7 @@ fn main() {
                 let (space, audit) = ParameterSpace::paper_space_audited(&dev, &kernel, &dims);
                 (space, Some(audit))
             };
-            let (ex, ex_executed) = run_strategy(
-                svc.as_ref(),
+            let (ex, ex_executed) = tune(
                 &dev,
                 &kernel,
                 dims,
@@ -125,8 +71,7 @@ fn main() {
                 TunerSpec::Exhaustive,
                 opts.seed,
             );
-            let (mb, mb_executed) = run_strategy(
-                svc.as_ref(),
+            let (mb, mb_executed) = tune(
                 &dev,
                 &kernel,
                 dims,
@@ -141,8 +86,7 @@ fn main() {
                 evaluations: mb_executed.max(1),
                 ..AnnealOptions::default()
             };
-            let (sa, sa_executed) = run_strategy(
-                svc.as_ref(),
+            let (sa, sa_executed) = tune(
                 &dev,
                 &kernel,
                 dims,
@@ -170,7 +114,7 @@ fn main() {
     }
     table.print("Tuning strategies: quality vs configurations executed");
     if let Some((dev, kernel, ex, audit)) = &last_report {
-        let mut report = match &svc {
+        let mut report = match global_service() {
             Some(svc) => summarize_with(svc.ctx(), dev, kernel, dims, ex)
                 .with_store(svc.store().stats().counters()),
             None => summarize_with(EvalContext::global(), dev, kernel, dims, ex),

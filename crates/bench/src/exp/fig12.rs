@@ -2,14 +2,13 @@
 //! for all stencil orders on all three GPUs. The paper reports a typical
 //! gap of ~2% and a worst case of ~6% (on the GTX680).
 
-use crate::exp::{global_service, space_for, ORDERS};
+use crate::exp::{space_for, tune, ORDERS};
 use crate::fmt::{f, Table};
 use crate::opts::RunOpts;
 use gpu_sim::DeviceSpec;
 use inplane_core::{KernelSpec, Method, Variant};
-use stencil_autotune::{exhaustive_tune, model_based_tune};
 use stencil_grid::Precision;
-use stencil_tunestore::{TuneRequest, TunerSpec};
+use stencil_tunestore::TunerSpec;
 
 /// One (device, order) comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,34 +46,14 @@ pub fn compute(opts: &RunOpts, beta_percent: f64) -> Vec<Cell> {
                 Precision::Single,
             );
             let space = space_for(&dev, &k, &dims, true, opts.quick);
-            let (ex_mpoints, mb_mpoints, executed) = if let Some(svc) = global_service() {
-                let ex = svc.resolve(&TuneRequest {
-                    device: dev.clone(),
-                    kernel: k.clone(),
-                    dims,
-                    space: space.clone(),
-                    tuner: TunerSpec::Exhaustive,
-                    seed: opts.seed,
-                });
-                let mb = svc.resolve(&TuneRequest {
-                    device: dev.clone(),
-                    kernel: k.clone(),
-                    dims,
-                    space: space.clone(),
-                    tuner: TunerSpec::ModelBased { beta_percent },
-                    seed: opts.seed,
-                });
-                (ex.best.mpoints, mb.best.mpoints, mb.evaluated as usize)
-            } else {
-                let ex = exhaustive_tune(&dev, &k, dims, &space, opts.seed);
-                let mb = model_based_tune(&dev, &k, dims, &space, beta_percent, opts.seed);
-                (ex.best.mpoints, mb.best.mpoints, mb.executed)
-            };
+            let (ex, _) = tune(&dev, &k, dims, &space, TunerSpec::Exhaustive, opts.seed);
+            let mb_tuner = TunerSpec::ModelBased { beta_percent };
+            let (mb, executed) = tune(&dev, &k, dims, &space, mb_tuner, opts.seed);
             out.push(Cell {
                 device: dev.name.to_string(),
                 order,
-                exhaustive_mpoints: ex_mpoints,
-                model_based_mpoints: mb_mpoints,
+                exhaustive_mpoints: ex.best.mpoints,
+                model_based_mpoints: mb.best.mpoints,
                 space_size: space.len(),
                 executed,
             });

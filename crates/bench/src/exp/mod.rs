@@ -19,11 +19,12 @@ use std::sync::{Arc, OnceLock};
 use gpu_sim::{DeviceSpec, GridDims};
 use inplane_core::{EvalContext, KernelSpec, RoutineDiag};
 use stencil_autotune::{
-    exhaustive_tune_with, select_routine, ParameterSpace, RoutineChoice, TuneSample,
+    exhaustive_tune_with, model_based_tune_with, select_routine, stochastic_tune_with,
+    ParameterSpace, RoutineChoice, TuneOutcome, TuneSample,
 };
 use stencil_tunestore::{JsonlDiskStore, TuneRequest, TuneService, TunerSpec};
 
-use crate::opts::TUNE_STORE_ENV;
+use crate::opts::tune_store_path;
 
 /// The stencil orders of the paper's evaluation.
 pub const ORDERS: [usize; 6] = [2, 4, 6, 8, 10, 12];
@@ -42,19 +43,24 @@ pub fn service_at(path: &str) -> Option<TuneService> {
     }
 }
 
-/// The process-wide tuning service, present when the
-/// `INPLANE_TUNE_STORE` environment variable names a store path. All
-/// default-entry-point tuning ([`tune_best`], the fig/table binaries)
-/// routes through it, so a second run of any sweep is served from disk.
+static SERVICE: OnceLock<Option<TuneService>> = OnceLock::new();
+
+/// Mount the process-wide tuning service at `path` (`None`: tune
+/// without persistence) and return it; `RunOpts::from_env` mounts the
+/// `--store` path. Only the first mount, or the first
+/// [`global_service`] call, takes effect.
+pub fn mount_service(path: Option<&str>) -> Option<&'static TuneService> {
+    SERVICE.get_or_init(|| path.and_then(service_at)).as_ref()
+}
+
+/// The process-wide tuning service: the one [`mount_service`] mounted,
+/// else one at [`tune_store_path`]`(None)` (the `INPLANE_TUNE_STORE`
+/// environment variable), if any. All default-entry-point tuning
+/// ([`tune_best`], the fig/table binaries) routes through it, so a
+/// second run of any sweep is served from disk.
 pub fn global_service() -> Option<&'static TuneService> {
-    static SERVICE: OnceLock<Option<TuneService>> = OnceLock::new();
     SERVICE
-        .get_or_init(|| {
-            let path = std::env::var(TUNE_STORE_ENV)
-                .ok()
-                .filter(|p| !p.is_empty())?;
-            service_at(&path)
-        })
+        .get_or_init(|| tune_store_path(None).as_deref().and_then(service_at))
         .as_ref()
 }
 
@@ -91,9 +97,9 @@ pub fn space_for(
 /// All figure/table experiments funnel through here, sharing the global
 /// [`EvalContext`]: one binary that tunes the same kernel for several
 /// figures prices each `(device, kernel, config, dims)` point once.
-/// When `INPLANE_TUNE_STORE` is set the search additionally routes
-/// through the persistent [`TuneService`], so a repeated run is served
-/// from disk bit-identically without re-searching.
+/// When a store is mounted ([`global_service`]) the search additionally
+/// routes through the persistent [`TuneService`], so a repeated run is
+/// served from disk bit-identically without re-searching.
 pub fn tune_best(
     device: &DeviceSpec,
     kernel: &KernelSpec,
@@ -102,42 +108,53 @@ pub fn tune_best(
     quick: bool,
     seed: u64,
 ) -> TuneSample {
-    if let Some(svc) = global_service() {
-        let space = space_for(device, kernel, &dims, register_blocking, quick);
-        return svc
-            .resolve(&TuneRequest {
-                device: device.clone(),
-                kernel: kernel.clone(),
-                dims,
-                space,
-                tuner: TunerSpec::Exhaustive,
-                seed,
-            })
-            .best;
-    }
-    tune_best_with(
-        EvalContext::global(),
-        device,
-        kernel,
-        dims,
-        register_blocking,
-        quick,
-        seed,
-    )
+    let space = space_for(device, kernel, &dims, register_blocking, quick);
+    tune(device, kernel, dims, &space, TunerSpec::Exhaustive, seed)
+        .0
+        .best
 }
 
-/// [`tune_best`] against an explicit evaluation context.
-pub fn tune_best_with(
-    ctx: &EvalContext,
+/// Run `tuner` over `space` through [`global_service`] when one is
+/// mounted, else directly; also return the configurations the producing
+/// search executed (also when the result was served from the store).
+pub fn tune(
     device: &DeviceSpec,
     kernel: &KernelSpec,
     dims: GridDims,
-    register_blocking: bool,
-    quick: bool,
+    space: &ParameterSpace,
+    tuner: TunerSpec,
     seed: u64,
-) -> TuneSample {
-    let space = space_for(device, kernel, &dims, register_blocking, quick);
-    exhaustive_tune_with(ctx, device, kernel, dims, &space, seed).best
+) -> (TuneOutcome, usize) {
+    if let Some(svc) = global_service() {
+        let resp = svc.resolve(&TuneRequest {
+            device: device.clone(),
+            kernel: kernel.clone(),
+            dims,
+            space: space.clone(),
+            tuner,
+            seed,
+        });
+        let executed = resp.evaluated as usize;
+        return (resp.into_outcome(), executed);
+    }
+    let ctx = EvalContext::global();
+    match tuner {
+        TunerSpec::Exhaustive => {
+            let out = exhaustive_tune_with(ctx, device, kernel, dims, space, seed);
+            let executed = out.evaluated();
+            (out, executed)
+        }
+        TunerSpec::ModelBased { beta_percent } => {
+            let out = model_based_tune_with(ctx, device, kernel, dims, space, beta_percent, seed);
+            let executed = out.executed;
+            (out.into_outcome(), executed)
+        }
+        TunerSpec::Stochastic(opts) => {
+            let out = stochastic_tune_with(ctx, device, kernel, dims, space, &opts, seed);
+            let executed = out.executed;
+            (out.into_outcome(), executed)
+        }
+    }
 }
 
 /// [`tune_best`] with oracle-first routine selection:
@@ -165,22 +182,9 @@ pub fn tune_best_auto(
     );
     let choice = select_routine(device, kernel, &dims, &space.configs()[0])?;
     let kernel = kernel.with_method(choice.blueprint.method);
-    let best = match global_service() {
-        Some(svc) => {
-            svc.resolve(&TuneRequest {
-                device: device.clone(),
-                kernel,
-                dims,
-                space,
-                tuner: TunerSpec::Exhaustive,
-                seed,
-            })
-            .best
-        }
-        None => {
-            exhaustive_tune_with(EvalContext::global(), device, &kernel, dims, &space, seed).best
-        }
-    };
+    let best = tune(device, &kernel, dims, &space, TunerSpec::Exhaustive, seed)
+        .0
+        .best;
     Ok((choice, best))
 }
 

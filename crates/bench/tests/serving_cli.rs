@@ -57,3 +57,49 @@ fn boundary_values_and_cache_modes_run() {
         );
     }
 }
+
+/// The number after `"key": ` at the first occurrence following
+/// `section` in a `BENCH_serving.json` document.
+fn count_after(json: &str, section: &str, key: &str) -> u64 {
+    let rest = &json[json.find(section).unwrap_or_else(|| panic!("no {section}"))..];
+    let rest = &rest[rest.find(key).unwrap_or_else(|| panic!("no {key}")) + key.len()..];
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{section} {key}: {rest:.40}"))
+}
+
+#[test]
+fn smoke_with_a_two_entry_lru_reaches_the_store_tier() {
+    // The CI configuration `--smoke --lru 2`: an LRU smaller than the
+    // 4-key universe, so warm requests also come from the store tier
+    // through the key index, and the LRU evicts.
+    let out = format!("{}/BENCH_serving_lru2.json", env!("CARGO_TARGET_TMPDIR"));
+    let run = Command::new(env!("CARGO_BIN_EXE_serving"))
+        .args(["--smoke", "--lru", "2", "--out", &out])
+        .output()
+        .expect("serving binary runs");
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        run.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(
+        stdout.contains("determinism: cold replay re-run matches exactly"),
+        "{stdout}"
+    );
+    let json = std::fs::read_to_string(&out).expect("report written");
+    assert!(
+        count_after(&json, "\"warm\": {", "\"store\": ") > 0,
+        "{json}"
+    );
+    assert!(
+        count_after(&json, "\"key_index\": {", "\"hits\": ") > 0,
+        "{json}"
+    );
+    assert!(
+        count_after(&json, "\"lru\": { \"hits\"", "\"evictions\": ") > 0,
+        "{json}"
+    );
+}

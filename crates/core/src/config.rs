@@ -63,11 +63,6 @@ impl LaunchConfig {
     pub fn has_register_blocking(&self) -> bool {
         self.rx > 1 || self.ry > 1
     }
-
-    /// The paper's tuple notation `(TX, TY, RX, RY)`.
-    pub fn as_tuple(&self) -> (usize, usize, usize, usize) {
-        (self.tx, self.ty, self.rx, self.ry)
-    }
 }
 
 impl fmt::Display for LaunchConfig {

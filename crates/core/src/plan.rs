@@ -117,16 +117,6 @@ impl PlanRect {
         w * h
     }
 
-    /// The rectangle shifted by `(dx, dy)`.
-    pub fn translated(&self, dx: isize, dy: isize) -> Self {
-        PlanRect {
-            x0: self.x0 + dx,
-            x1: self.x1 + dx,
-            y0: self.y0 + dy,
-            y1: self.y1 + dy,
-        }
-    }
-
     /// The rectangle clipped to an `nx × ny` grid plane (possibly
     /// degenerate). This is exactly the interpreter's per-cell skip for
     /// regions that poke outside the allocation (full-slice corners on

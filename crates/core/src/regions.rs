@@ -68,8 +68,8 @@ impl Region {
     }
 
     /// Lower this region to warp instructions against `geom`, lane
-    /// addresses and all — the per-lane form the coalescing lint and the
-    /// tests read.
+    /// addresses and all — the per-lane reference the tests check
+    /// [`Region::count`] and the counted plans against.
     pub fn lower(&self, geom: &TileGeometry, warp_size: usize) -> Vec<WarpLoad> {
         let mut out = Vec::new();
         self.for_each_instruction(geom, warp_size, |lanes, bytes_per_lane| {

@@ -1,7 +1,8 @@
 //! Coalescing and bank-conflict lint over the lowered warp instructions.
 //!
-//! For every load region the variant issues, the region is lowered to
-//! its [`gpu_sim::WarpLoad`]s and the *measured* transaction count
+//! For every load region the variant issues, the region's warp
+//! instructions are counted ([`inplane_core::regions::Region::count`])
+//! and the *measured* transaction count
 //! (address-accurate coalescing against the device's segment size) is
 //! compared with the *ideal* count (every requested byte moved in fully
 //! packed segments). The measured-vs-ideal ratio is the profiler's
@@ -19,7 +20,7 @@
 //! ranking, not the lint, decides the winner; the lint explains why.
 
 use crate::diag::Diagnostic;
-use gpu_sim::{coalesce_transactions, stencil_phase_factor, DeviceSpec};
+use gpu_sim::{stencil_phase_factor, DeviceSpec, TrafficCounter};
 use inplane_core::layout::TileGeometry;
 use inplane_core::loadplan::load_regions;
 use inplane_core::regions::Assignment;
@@ -49,14 +50,16 @@ pub fn check_coalescing(
         .iter()
         .enumerate()
     {
-        let loads = region.lower(geom, device.warp_size);
-        if loads.is_empty() {
+        let mut counter = TrafficCounter::new(seg);
+        region.count(geom, device.warp_size, &mut counter);
+        let (instrs, _) = counter.finish();
+        if instrs.is_empty() {
             continue;
         }
-        let measured: usize = loads.iter().map(|l| coalesce_transactions(l, seg)).sum();
-        let ideal: usize = loads
+        let measured: u64 = instrs.iter().map(|t| t.transactions).sum();
+        let ideal: u64 = instrs
             .iter()
-            .map(|l| (l.requested_bytes().div_ceil(seg)).max(1) as usize)
+            .map(|t| t.requested_bytes.div_ceil(seg).max(1))
             .sum();
         let ratio = measured as f64 / ideal as f64;
 

@@ -59,13 +59,6 @@ pub struct CompactionReport {
     pub epochs: Vec<u64>,
 }
 
-impl CompactionReport {
-    /// Total reclaimed lines across all shards.
-    pub fn total_reclaimed(&self) -> usize {
-        self.reclaimed.iter().sum()
-    }
-}
-
 /// N-way sharded [`TuneStore`]; see the [module docs](self).
 pub struct ShardedStore {
     shards: Vec<Shard>,
